@@ -6,10 +6,10 @@
 
 namespace ceio {
 
-HostccDatapath::HostccDatapath(EventScheduler& sched, DmaEngine& dma, MemoryController& mc,
-                               BufferPool& host_pool, IioBuffer& iio, DramModel& dram,
-                               LlcModel& llc, const HostccConfig& config)
-    : DatapathBase(sched, dma, mc, host_pool),
+HostccDatapath::HostccDatapath(EventScheduler& sched, PacketPool& packets, DmaEngine& dma,
+                               MemoryController& mc, BufferPool& host_pool, IioBuffer& iio,
+                               DramModel& dram, LlcModel& llc, const HostccConfig& config)
+    : DatapathBase(sched, packets, dma, mc, host_pool),
       iio_(iio),
       dram_(dram),
       llc_(llc),
@@ -21,13 +21,7 @@ HostccDatapath::HostccDatapath(EventScheduler& sched, DmaEngine& dma, MemoryCont
 HostccDatapath::~HostccDatapath() { sched_.cancel(monitor_timer_); }
 
 void HostccDatapath::on_flow_registered(FlowState& fs) {
-  if (!fs.ring) fs.ring = std::make_unique<RxRing>(config_.ring_entries, pool_, "hostcc-rx");
-}
-
-void HostccDatapath::on_packet(Packet pkt) {
-  FlowState* fs = state_of(pkt.flow);
-  if (fs == nullptr) return;
-  deliver_fast(*fs, std::move(pkt), fs->ring.get());
+  if (!fs.ring) fs.ring = std::make_unique<RxRing>(config_.ring_entries, packets_, "hostcc-rx");
 }
 
 void HostccDatapath::monitor_poll() {

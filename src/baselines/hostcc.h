@@ -36,13 +36,12 @@ struct HostccConfig {
 
 class HostccDatapath : public DatapathBase {
  public:
-  HostccDatapath(EventScheduler& sched, DmaEngine& dma, MemoryController& mc,
-                 BufferPool& host_pool, IioBuffer& iio, DramModel& dram, LlcModel& llc,
-                 const HostccConfig& config = {});
+  HostccDatapath(EventScheduler& sched, PacketPool& packets, DmaEngine& dma,
+                 MemoryController& mc, BufferPool& host_pool, IioBuffer& iio, DramModel& dram,
+                 LlcModel& llc, const HostccConfig& config = {});
   ~HostccDatapath() override;
 
   const char* name() const override { return "hostcc"; }
-  void on_packet(Packet pkt) override;  // lint: allow-packet-copy (move-sink)
 
   std::int64_t congestion_signals() const { return signals_; }
 

@@ -17,21 +17,15 @@ struct LegacyConfig {
 
 class LegacyDatapath : public DatapathBase {
  public:
-  LegacyDatapath(EventScheduler& sched, DmaEngine& dma, MemoryController& mc,
-                 BufferPool& host_pool, const LegacyConfig& config = {})
-      : DatapathBase(sched, dma, mc, host_pool), config_(config) {}
+  LegacyDatapath(EventScheduler& sched, PacketPool& packets, DmaEngine& dma,
+                 MemoryController& mc, BufferPool& host_pool, const LegacyConfig& config = {})
+      : DatapathBase(sched, packets, dma, mc, host_pool), config_(config) {}
 
   const char* name() const override { return "legacy-ddio"; }
 
-  void on_packet(Packet pkt) override {  // lint: allow-packet-copy (move-sink)
-    FlowState* fs = state_of(pkt.flow);
-    if (fs == nullptr) return;
-    deliver_fast(*fs, std::move(pkt), fs->ring.get());
-  }
-
  protected:
   void on_flow_registered(FlowState& fs) override {
-    if (!fs.ring) fs.ring = std::make_unique<RxRing>(config_.ring_entries, pool_, "legacy-rx");
+    if (!fs.ring) fs.ring = std::make_unique<RxRing>(config_.ring_entries, packets_, "legacy-rx");
   }
 
  private:

@@ -2,9 +2,10 @@
 
 namespace ceio {
 
-ShringDatapath::ShringDatapath(EventScheduler& sched, DmaEngine& dma, MemoryController& mc,
-                               BufferPool& shared_pool, const ShringConfig& config)
-    : DatapathBase(sched, dma, mc, shared_pool), config_(config) {
+ShringDatapath::ShringDatapath(EventScheduler& sched, PacketPool& packets, DmaEngine& dma,
+                               MemoryController& mc, BufferPool& shared_pool,
+                               const ShringConfig& config)
+    : DatapathBase(sched, packets, dma, mc, shared_pool), config_(config) {
   sweep_timer_ = sched_.schedule_after(config_.sweep_interval,
                                        [this]() { sweep_stale_messages(); });
 }
@@ -32,7 +33,7 @@ void ShringDatapath::sweep_stale_messages() {
 }
 
 void ShringDatapath::on_flow_registered(FlowState& fs) {
-  if (!fs.ring) fs.ring = std::make_unique<RxRing>(config_.ring_entries, pool_, "shring-rx");
+  if (!fs.ring) fs.ring = std::make_unique<RxRing>(config_.ring_entries, packets_, "shring-rx");
 }
 
 void ShringDatapath::on_flow_unregistered(FlowState& fs) {
@@ -68,38 +69,37 @@ void ShringDatapath::maybe_backpressure() {
   });
 }
 
-void ShringDatapath::on_packet(Packet pkt) {
-  FlowState* fs = state_of(pkt.flow);
+void ShringDatapath::on_packet(PacketRef ref) {
+  FlowState* fs = live_state(packets_.get(ref)->flow, ref);
   if (fs == nullptr) return;
   maybe_backpressure();
   if (!fs->rt.app->per_packet_cpu()) {
-    deliver_bypass_pooled(*fs, std::move(pkt));
+    deliver_bypass_pooled(*fs, ref);
     return;
   }
-  deliver_fast(*fs, std::move(pkt), fs->ring.get());
+  deliver_fast(*fs, ref, fs->ring.get());
 }
 
-void ShringDatapath::deliver_bypass_pooled(FlowState& fs, Packet pkt) {
+void ShringDatapath::deliver_bypass_pooled(FlowState& fs, PacketRef ref) {
   const auto acquired = host_pool_.acquire();
   if (!acquired) {
-    drop_packet(fs, pkt);
+    drop_packet(fs, ref);
     return;
   }
+  Packet& pkt = *packets_.get(ref);
   pkt.host_buffer = *acquired;
   ++fs.stats.fast_path_pkts;
   const FlowId flow = fs.rt.config.id;
-  const BufferId buffer = pkt.host_buffer;
-  const Bytes size = pkt.size;
-  const PacketRef ref = pool_.make(std::move(pkt));
-  dma_.write_to_host(buffer, size, /*ddio=*/true, [this, flow, ref](Nanos) {
-    on_bypass_landed(flow, pool_.take(ref));
-  });
+  dma_.write_to_host(pkt.host_buffer, pkt.size, /*ddio=*/true,
+                     [this, flow, ref](Nanos) { on_bypass_landed(flow, ref); });
 }
 
-void ShringDatapath::on_bypass_landed(FlowId flow, Packet pkt) {
+void ShringDatapath::on_bypass_landed(FlowId flow, PacketRef ref) {
+  const Packet& pkt = *packets_.get(ref);
   FlowState* fs = state_of(flow);
   if (fs == nullptr) {
     host_pool_.release(pkt.host_buffer);
+    packets_.release(ref);
     return;
   }
   if (fs->rt.source != nullptr) fs->rt.source->notify_delivered(pkt);
@@ -121,7 +121,7 @@ void ShringDatapath::on_bypass_landed(FlowId flow, Packet pkt) {
     }
     msg_buffers_[flow].erase(pkt.message_id);
   }
-  note_delivered_message_progress(*fs, pkt, sched_.now());
+  land_bypass(*fs, ref, sched_.now());
 }
 
 }  // namespace ceio

@@ -38,12 +38,12 @@ struct ShringConfig {
 
 class ShringDatapath : public DatapathBase {
  public:
-  ShringDatapath(EventScheduler& sched, DmaEngine& dma, MemoryController& mc,
-                 BufferPool& shared_pool, const ShringConfig& config = {});
+  ShringDatapath(EventScheduler& sched, PacketPool& packets, DmaEngine& dma,
+                 MemoryController& mc, BufferPool& shared_pool, const ShringConfig& config = {});
   ~ShringDatapath() override;
 
   const char* name() const override { return "shring"; }
-  void on_packet(Packet pkt) override;  // lint: allow-packet-copy (move-sink)
+  void on_packet(PacketRef ref) override;
 
   std::int64_t backpressure_signals() const { return signals_; }
 
@@ -63,8 +63,8 @@ class ShringDatapath : public DatapathBase {
   };
 
   void maybe_backpressure();
-  void deliver_bypass_pooled(FlowState& fs, Packet pkt);  // lint: allow-packet-copy (move-sink)
-  void on_bypass_landed(FlowId flow, Packet pkt);  // lint: allow-packet-copy (move-sink)
+  void deliver_bypass_pooled(FlowState& fs, PacketRef ref);
+  void on_bypass_landed(FlowId flow, PacketRef ref);
   void sweep_stale_messages();
 
   ShringConfig config_;

@@ -18,10 +18,10 @@ bool is_slow_landing(BufferId id) {
 }
 }  // namespace
 
-CeioDatapath::CeioDatapath(EventScheduler& sched, DmaEngine& dma, MemoryController& mc,
-                           BufferPool& host_pool, RmtEngine& rmt, NicMemory& nic_mem,
-                           const CeioConfig& config)
-    : DatapathBase(sched, dma, mc, host_pool),
+CeioDatapath::CeioDatapath(EventScheduler& sched, PacketPool& packets, DmaEngine& dma,
+                           MemoryController& mc, BufferPool& host_pool, RmtEngine& rmt,
+                           NicMemory& nic_mem, const CeioConfig& config)
+    : DatapathBase(sched, packets, dma, mc, host_pool),
       rmt_(rmt),
       nic_mem_(nic_mem),
       config_(config),
@@ -83,31 +83,20 @@ CeioDatapath::SlowDebug CeioDatapath::debug_slow_state(FlowId id) const {
   const FlowState* fs = const_cast<CeioDatapath*>(this)->state_of(id);
   if (fs != nullptr && fs->ring) out.fast_ring = fs->ring->size();
   out.sw_head_fast = ext->sw.next() == SwRing::Path::kFast;
-  out.slow_pool_free = 0;
   out.host_pool_free = host_pool_.available();
   return out;
 }
 
-std::int64_t CeioDatapath::debug_unworked(FlowId id) const {
-  const Ext* ext = ext_of(id);
-  return ext == nullptr ? 0 : ext->slow_landed_unworked;
-}
-
-std::size_t CeioDatapath::debug_open_messages(FlowId id) const {
-  const Ext* ext = ext_of(id);
-  return ext == nullptr ? 0 : ext->msg_path_counts.size();
-}
-
 void CeioDatapath::on_flow_registered(FlowState& fs) {
   const FlowId id = fs.rt.config.id;
-  fs.ring = std::make_unique<RxRing>(config_.fast_ring_entries, pool_, "ceio-fast");
+  fs.ring = std::make_unique<RxRing>(config_.fast_ring_entries, packets_, "ceio-fast");
   const bool inserted = !ext_.contains(id);
   Ext& ext = ext_[id];
   if (inserted) {
     const std::size_t window = config_.async_drain ? config_.drain_window : 1;
     ext.elastic = std::make_unique<ElasticBuffer>(
-        sched_, nic_mem_, dma_, window,
-        [this, id](Packet pkt, Nanos now) { on_slow_read_complete(id, std::move(pkt), now); },
+        sched_, packets_, nic_mem_, dma_, window,
+        [this, id](PacketRef ref, Nanos) { on_slow_read_complete(id, ref); },
         [this, id]() {
           // Pause the drain while too many landed packets sit unconsumed in
           // host memory (they occupy DDIO ways without credits). For
@@ -147,9 +136,15 @@ void CeioDatapath::on_flow_unregistered(FlowState& fs) {
   rmt_.remove_rule(id);
   credits_.remove_flow(id);
   // In-flight DMA-read callbacks reference the elastic buffer; park it until
-  // the runtime is destroyed instead of freeing it under them.
+  // the runtime is destroyed instead of freeing it under them. Packets still
+  // queued for this flow leave the domain here.
   if (Ext* ext = ext_.find(id); ext != nullptr) {
-    if (ext->elastic) retired_.push_back(std::move(ext->elastic));
+    if (ext->elastic) {
+      ext->elastic->discard();
+      retired_.push_back(std::move(ext->elastic));
+    }
+    while (!ext->landed_slow.empty()) packets_.release(ext->landed_slow.pop_front());
+    while (!ext->driver_queue.empty()) packets_.release(ext->driver_queue.pop_front());
     ext_.erase(id);
   }
   reactivation_order_.erase(
@@ -175,7 +170,7 @@ std::size_t CeioDatapath::driver_recv(FlowId id, Packet* out, std::size_t max_pk
   manual_pump(*fs, *ext);
   std::size_t n = 0;
   while (n < max_pkts && !ext->driver_queue.empty()) {
-    out[n++] = ext->driver_queue.pop_front();
+    out[n++] = packets_.take(ext->driver_queue.pop_front());
   }
   // Demand kick: the next in-order packet is on the slow path and has not
   // landed — start (or keep) the drain so a later call finds it. async_recv
@@ -184,13 +179,6 @@ std::size_t CeioDatapath::driver_recv(FlowId id, Packet* out, std::size_t max_pk
     kick_drain(id, *ext);
   }
   return n;
-}
-
-std::vector<Packet> CeioDatapath::driver_recv(FlowId id, std::size_t max_pkts,  // lint: allow-vector-return
-                                              bool eager_drain) {
-  std::vector<Packet> out(max_pkts);
-  out.resize(driver_recv(id, out.data(), max_pkts, eager_drain));
-  return out;
 }
 
 std::vector<BufferId> CeioDatapath::driver_post_recv(FlowId id, std::size_t count) {
@@ -300,10 +288,11 @@ bool CeioDatapath::take_reactivation_token() {
   return true;
 }
 
-void CeioDatapath::on_packet(Packet pkt) {
-  FlowState* fs = state_of(pkt.flow);
+void CeioDatapath::on_packet(PacketRef ref) {
+  const Packet& pkt = *packets_.get(ref);
+  FlowState* fs = live_state(pkt.flow, ref);
+  if (fs == nullptr) return;  // unknown flow: no rule, drop
   Ext* ext = ext_of(pkt.flow);
-  if (fs == nullptr || ext == nullptr) return;  // unknown flow: no rule, drop
   ext->last_packet_at = sched_.now();
   // Traffic-triggered reactivation (§4.1 Q3): a reclaimed flow that shows
   // traffic again gets its credits back through Algorithm 1 — but the
@@ -319,18 +308,18 @@ void CeioDatapath::on_packet(Packet pkt) {
   const SteerAction action = rmt_.steer(pkt);
   switch (action) {
     case SteerAction::kToHost:
-      deliver_fast_path(*fs, *ext, std::move(pkt));
+      deliver_fast_path(*fs, *ext, ref);
       break;
     case SteerAction::kToNicMem:
-      deliver_slow_path(*fs, *ext, std::move(pkt));
+      deliver_slow_path(*fs, *ext, ref);
       break;
     case SteerAction::kDrop:
-      drop_packet(*fs, pkt);
+      drop_packet(*fs, ref);
       break;
   }
 }
 
-void CeioDatapath::deliver_fast_path(FlowState& fs, Ext& ext, Packet pkt) {
+void CeioDatapath::deliver_fast_path(FlowState& fs, Ext& ext, PacketRef ref) {
   const FlowId id = fs.rt.config.id;
   const bool involved = fs.rt.app->per_packet_cpu();
   BufferId buffer = 0;
@@ -343,7 +332,7 @@ void CeioDatapath::deliver_fast_path(FlowState& fs, Ext& ext, Packet pkt) {
       if (!acquired) {
         // Host pool exhausted (should not happen when the pool covers
         // C_total); treat like a ring overflow.
-        drop_packet(fs, pkt);
+        drop_packet(fs, ref);
         return;
       }
       buffer = *acquired;
@@ -357,15 +346,14 @@ void CeioDatapath::deliver_fast_path(FlowState& fs, Ext& ext, Packet pkt) {
   ++ext.unreleased;
   ++fs.stats.fast_path_pkts;
   if (involved) ext.sw.note_steered(/*fast=*/true);
-  pkt.host_buffer = buffer;
+  packets_.get(ref)->host_buffer = buffer;
   // The controller's match-action + credit work is pipelined ahead of the
   // DMA issue: it delays the packet but does not throttle the stream.
   const bool expect_read = fs.rt.app->reads_delivered_data();
-  // Park the packet: both hops of the pipelined issue capture its 4-byte
-  // handle, keeping the scheduler callback and the DMA completion inline.
-  const PacketRef ref = pool_.make(std::move(pkt));
+  // Both hops of the pipelined issue capture the packet's 4-byte handle,
+  // keeping the scheduler callback and the DMA completion inline.
   sched_.schedule_after(config_.controller_latency, [this, id, buffer, expect_read, ref]() {
-    Packet* parked = pool_.get(ref);
+    const Packet* parked = packets_.get(ref);
     CEIO_T_PATH_HOP(tele_, parked->flow, parked->seq, PathHop::kDmaIssue, sched_.now());
     dma_.write_to_host(
         buffer, parked->size, /*ddio=*/true,
@@ -374,13 +362,14 @@ void CeioDatapath::deliver_fast_path(FlowState& fs, Ext& ext, Packet pkt) {
 }
 
 void CeioDatapath::on_fast_landed(FlowId flow, PacketRef ref) {
-  Packet pkt = pool_.take(ref);
+  const Packet& pkt = *packets_.get(ref);
   FlowState* fs = state_of(flow);
   Ext* ext = ext_of(flow);
   if (fs == nullptr || ext == nullptr) {
     if (is_pool_buffer(pkt.host_buffer)) {
       host_pool_.release(pkt.host_buffer);
     }
+    packets_.release(ref);
     return;
   }
   if (fs->rt.source != nullptr) fs->rt.source->notify_delivered(pkt);
@@ -390,31 +379,33 @@ void CeioDatapath::on_fast_landed(FlowId flow, PacketRef ref) {
     // app processing -> ownership returns), via on_message_work_done.
     CEIO_T_PATH_DONE(tele_, pkt.flow, pkt.seq, PathHop::kHostLanded, sched_.now());
     ++ext->msg_path_counts[pkt.message_id].first;
-    note_delivered_message_progress(*fs, pkt, sched_.now());
+    land_bypass(*fs, ref, sched_.now());
     return;
   }
   CEIO_T_PATH_HOP(tele_, pkt.flow, pkt.seq, PathHop::kHostLanded, sched_.now());
-  if (!fs->ring->post(pkt)) {
+  if (!fs->ring->post(ref)) {
     // Ring overflow after steering: the SW ring already recorded the
     // segment entry, so account the loss for the consumer to skip.
     ++ext->lost_fast;
     host_pool_.release(pkt.host_buffer);
     mc_.release_buffer(pkt.host_buffer);
-    drop_packet(*fs, pkt);
+    drop_packet(*fs, ref);
     return;
   }
   pump(flow);
 }
 
-void CeioDatapath::deliver_slow_path(FlowState& fs, Ext& ext, Packet pkt) {
+void CeioDatapath::deliver_slow_path(FlowState& fs, Ext& ext, PacketRef ref) {
   const FlowId id = fs.rt.config.id;
   const bool involved = fs.rt.app->per_packet_cpu();
+  const Packet& pkt = *packets_.get(ref);
   const bool message_end = pkt.last_in_message;
-  if (!ext.elastic->buffer_packet(pkt)) {
-    drop_packet(fs, pkt);
+  if (!ext.elastic->buffer_packet(ref)) {
+    drop_packet(fs, ref);
     return;
   }
   ++fs.stats.slow_path_pkts;
+  // Still parked: the elastic buffer holds the handle until it drains.
   CEIO_T_PATH_HOP(tele_, pkt.flow, pkt.seq, PathHop::kNicBuffered, sched_.now());
   if (involved) ext.sw.note_steered(/*fast=*/false);
   // Drain triggers: eager with the async optimization; event-driven on
@@ -427,52 +418,49 @@ void CeioDatapath::deliver_slow_path(FlowState& fs, Ext& ext, Packet pkt) {
 
 void CeioDatapath::kick_drain(FlowId /*flow*/, Ext& ext) { ext.elastic->drain(); }
 
-void CeioDatapath::on_slow_read_complete(FlowId flow, Packet pkt, Nanos /*now*/) {
+void CeioDatapath::on_slow_read_complete(FlowId flow, PacketRef ref) {
   // The PCIe read completed; finish the landing as a host memory write so
   // IIO/LLC accounting applies (the drain window keeps this footprint tiny).
-  FlowState* fs = state_of(flow);
+  FlowState* fs = live_state(flow, ref);
   if (fs == nullptr) return;
   if (!fs->rt.app->per_packet_cpu()) {
-    const BufferId buffer = fs->next_bypass_buffer++;
-    pkt.host_buffer = buffer;
+    Packet& pkt = *packets_.get(ref);
+    pkt.host_buffer = fs->next_bypass_buffer++;
     mc_.dma_write(
-        buffer, pkt.size, /*ddio=*/true,
-        [this, flow, pkt = std::move(pkt)](Nanos done) mutable {
-          FlowState* fs2 = state_of(flow);
-          Ext* ext2 = ext_of(flow);
+        pkt.host_buffer, pkt.size, /*ddio=*/true,
+        [this, flow, ref](Nanos done) {
+          FlowState* fs2 = live_state(flow, ref);
           if (fs2 == nullptr) return;
-          if (ext2 != nullptr) {
-            ++ext2->slow_landed_unworked;
-            ++ext2->msg_path_counts[pkt.message_id].second;
-          }
-          CEIO_T_PATH_DONE(tele_, pkt.flow, pkt.seq, PathHop::kHostLanded, done);
-          if (fs2->rt.source != nullptr) fs2->rt.source->notify_delivered(pkt);
-          note_delivered_message_progress(*fs2, pkt, done);
+          const Packet& landed = *packets_.get(ref);
+          Ext& ext2 = *ext_of(flow);
+          ++ext2.slow_landed_unworked;
+          ++ext2.msg_path_counts[landed.message_id].second;
+          CEIO_T_PATH_DONE(tele_, landed.flow, landed.seq, PathHop::kHostLanded, done);
+          if (fs2->rt.source != nullptr) fs2->rt.source->notify_delivered(landed);
+          land_bypass(*fs2, ref, done);
         },
         fs->rt.app->reads_delivered_data());
     return;
   }
-  land_slow_involved(flow, std::move(pkt));
+  land_slow_involved(flow, ref);
 }
 
-void CeioDatapath::land_slow_involved(FlowId flow, Packet pkt) {
-  FlowState* fs = state_of(flow);
-  Ext* ext = ext_of(flow);
-  if (fs == nullptr || ext == nullptr) return;
+void CeioDatapath::land_slow_involved(FlowId flow, PacketRef ref) {
+  if (live_state(flow, ref) == nullptr) return;
   // Driver-posted landing buffer: a rotating window of ids (the drain gate
   // bounds how many are live at once, so recycling is safe).
+  Packet& pkt = *packets_.get(ref);
   const BufferId base = kSlowLandingBase + (static_cast<BufferId>(flow) << 20);
-  pkt.host_buffer = base + (ext->next_landing_buffer++ - base) % kLandingWindow;
-  mc_.dma_write(pkt.host_buffer, pkt.size, /*ddio=*/true,
-                [this, flow, pkt = std::move(pkt)](Nanos) mutable {
-                  FlowState* fs2 = state_of(flow);
-                  Ext* ext2 = ext_of(flow);
-                  if (fs2 == nullptr || ext2 == nullptr) return;
-                  CEIO_T_PATH_HOP(tele_, pkt.flow, pkt.seq, PathHop::kHostLanded, sched_.now());
-                  if (fs2->rt.source != nullptr) fs2->rt.source->notify_delivered(pkt);
-                  ext2->landed_slow.push_back(std::move(pkt));
-                  pump(flow);
-                });
+  pkt.host_buffer = base + (ext_of(flow)->next_landing_buffer++ - base) % kLandingWindow;
+  mc_.dma_write(pkt.host_buffer, pkt.size, /*ddio=*/true, [this, flow, ref](Nanos) {
+    FlowState* fs2 = live_state(flow, ref);
+    if (fs2 == nullptr) return;
+    const Packet& landed = *packets_.get(ref);
+    CEIO_T_PATH_HOP(tele_, landed.flow, landed.seq, PathHop::kHostLanded, sched_.now());
+    if (fs2->rt.source != nullptr) fs2->rt.source->notify_delivered(landed);
+    ext_of(flow)->landed_slow.push_back(ref);
+    pump(flow);
+  });
 }
 
 void CeioDatapath::manual_pump(FlowState& fs, Ext& ext) {
@@ -484,9 +472,8 @@ void CeioDatapath::manual_pump(FlowState& fs, Ext& ext) {
         return;
       case SwRing::Path::kFast:
         if (!fs.ring->empty()) {
-          auto pkt = fs.ring->poll();
+          ext.driver_queue.push_back(fs.ring->poll());
           ext.sw.consumed();
-          ext.driver_queue.push_back(std::move(*pkt));
           continue;
         }
         if (ext.lost_fast > 0) {
@@ -521,9 +508,9 @@ void CeioDatapath::pump(FlowId flow) {
         return;
       case SwRing::Path::kFast: {
         if (!fs->ring->empty()) {
-          auto pkt = fs->ring->poll();
+          const PacketRef ref = fs->ring->poll();
           ext->sw.consumed();
-          process_one(*fs, *ext, std::move(*pkt), /*was_slow=*/false);
+          process_one(*fs, *ext, ref, /*was_slow=*/false);
           return;
         }
         if (ext->lost_fast > 0) {
@@ -536,9 +523,9 @@ void CeioDatapath::pump(FlowId flow) {
       }
       case SwRing::Path::kSlow: {
         if (!ext->landed_slow.empty()) {
-          Packet pkt = ext->landed_slow.pop_front();
+          const PacketRef ref = ext->landed_slow.pop_front();
           ext->sw.consumed();
-          process_one(*fs, *ext, std::move(pkt), /*was_slow=*/true);
+          process_one(*fs, *ext, ref, /*was_slow=*/true);
           return;
         }
         // Demand-driven drain (sync recv()): fetch the segment now.
@@ -549,33 +536,27 @@ void CeioDatapath::pump(FlowId flow) {
   }
 }
 
-void CeioDatapath::process_one(FlowState& fs, Ext& ext, Packet pkt, bool was_slow) {
+void CeioDatapath::process_one(FlowState& fs, Ext& ext, PacketRef ref, bool was_slow) {
   ext.cpu_pumping = true;
-  const AppPacketCosts costs = fs.rt.app->packet_costs(pkt);
-  PacketWork work;
-  work.buffer = pkt.host_buffer;
-  work.size = pkt.size;
-  work.app_cost = costs.app_cost;
-  work.read_buffer = costs.read_buffer;
-  work.copy_to = costs.copy_to;
+  PacketWork work = packet_work(fs, ref);
   if (!config_.phase_exclusive && (was_slow || ext.sw.segment_count() > 1)) {
     // Ablation: without phase exclusivity the driver tracks and re-sorts
     // per-packet metadata whenever paths interleave.
     work.app_cost += config_.reorder_penalty;
   }
   const FlowId flow = fs.rt.config.id;
-  const bool slow_buffer = was_slow;
-  CEIO_T_PATH_HOP(tele_, pkt.flow, pkt.seq, PathHop::kCpuStart, sched_.now());
-  const PacketRef ref = pool_.make(std::move(pkt));
-  work.on_done = [this, flow, ref, slow_buffer](Nanos done) {
-    Packet done_pkt = pool_.take(ref);
+  work.on_done = [this, flow, ref, slow_buffer = was_slow](Nanos done) {
+    const Packet& done_pkt = *packets_.get(ref);
     FlowState* fs2 = state_of(flow);
     Ext* ext2 = ext_of(flow);
     if (done_pkt.host_buffer != 0) {
       if (!slow_buffer) host_pool_.release(done_pkt.host_buffer);
       mc_.release_buffer(done_pkt.host_buffer);
     }
-    if (fs2 == nullptr || ext2 == nullptr) return;
+    if (fs2 == nullptr || ext2 == nullptr) {
+      packets_.release(ref);
+      return;
+    }
     CEIO_T_PATH_DONE(tele_, done_pkt.flow, done_pkt.seq, PathHop::kProcessed, done);
     // Lazy release keys strictly on *fast-path* ring-head advancement:
     // slow-path packets never consumed a credit, so their processing must
@@ -583,13 +564,14 @@ void CeioDatapath::process_one(FlowState& fs, Ext& ext, Packet pkt, bool was_slo
     if (!slow_buffer) note_processed_for_release(*fs2, *ext2, done_pkt);
     if (slow_buffer) kick_drain(flow, *ext2);  // the gate may have reopened
     note_processed_message_progress(*fs2, done_pkt, done);
+    packets_.release(ref);
     ext2->cpu_pumping = false;
     pump(flow);
   };
   fs.rt.core->submit(std::move(work));
 }
 
-void CeioDatapath::on_message_work_done(FlowState& fs, const Packet& last_pkt, Nanos done) {
+void CeioDatapath::on_message_work_done(FlowState& fs, std::uint64_t message_id, Nanos done) {
   (void)done;
   if (fs.rt.app->per_packet_cpu()) return;  // involved flows release per batch
   Ext* ext = ext_of(fs.rt.config.id);
@@ -598,7 +580,7 @@ void CeioDatapath::on_message_work_done(FlowState& fs, const Packet& last_pkt, N
   // drain gate, and the chunk's credits return to the controller.
   std::int32_t fast_cnt = 0;
   std::int32_t slow_cnt = 0;
-  if (const auto it = ext->msg_path_counts.find(last_pkt.message_id);
+  if (const auto it = ext->msg_path_counts.find(message_id);
       it != ext->msg_path_counts.end()) {
     fast_cnt = it->second.first;
     slow_cnt = it->second.second;

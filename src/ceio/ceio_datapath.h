@@ -120,13 +120,13 @@ struct CeioRuntimeStats {
 
 class CeioDatapath final : public DatapathBase {
  public:
-  CeioDatapath(EventScheduler& sched, DmaEngine& dma, MemoryController& mc,
-               BufferPool& host_pool, RmtEngine& rmt, NicMemory& nic_mem,
-               const CeioConfig& config = {});
+  CeioDatapath(EventScheduler& sched, PacketPool& packets, DmaEngine& dma,
+               MemoryController& mc, BufferPool& host_pool, RmtEngine& rmt,
+               NicMemory& nic_mem, const CeioConfig& config = {});
   ~CeioDatapath() override;
 
   const char* name() const override { return "ceio"; }
-  void on_packet(Packet pkt) override;  // lint: allow-packet-copy (move-sink)
+  void on_packet(PacketRef ref) override;
   /// Base path.* aggregates plus ceio.credits.* / ceio.slow.* gauges.
   void register_metrics(MetricRegistry& registry) override;
   /// Base hookup plus propagation into the per-flow elastic buffers.
@@ -158,13 +158,12 @@ class CeioDatapath final : public DatapathBase {
   /// Switches a flow between the internal pump (default) and manual
   /// consumption through a CeioDriver.
   void set_manual_consume(FlowId id, bool manual);
-  /// Pops up to `max_pkts` in-order landed packets into caller-provided
-  /// storage (no allocation). `eager_drain` keeps the slow path draining in
-  /// the background (async_recv). Returns the number of packets written.
+  /// Copies up to `max_pkts` in-order landed packets out into
+  /// caller-provided storage (no allocation) and releases them: this is
+  /// where a driver-consumed packet leaves the domain. `eager_drain` keeps
+  /// the slow path draining in the background (async_recv). Returns the
+  /// number of packets written.
   std::size_t driver_recv(FlowId id, Packet* out, std::size_t max_pkts, bool eager_drain);
-  /// Legacy allocating overload; prefer the span form on hot paths.
-  std::vector<Packet> driver_recv(FlowId id, std::size_t max_pkts,  // lint: allow-vector-return
-                                  bool eager_drain);
   /// Grants `count` application-owned zero-copy RX buffers to the flow.
   std::vector<BufferId> driver_post_recv(FlowId id, std::size_t count);
   /// Ownership hand-back: recycles the buffer, advances message progress and
@@ -186,24 +185,21 @@ class CeioDatapath final : public DatapathBase {
     bool cpu_pumping = false;
     std::size_t fast_ring = 0;      // landed fast packets awaiting consumption
     bool sw_head_fast = false;      // path of the next in-order packet
-    std::size_t slow_pool_free = 0;
     std::size_t host_pool_free = 0;
   };
   SlowDebug debug_slow_state(FlowId id) const;
-  std::int64_t debug_unworked(FlowId id) const;
-  std::size_t debug_open_messages(FlowId id) const;
 
  protected:
   void on_flow_registered(FlowState& fs) override;
   void on_flow_unregistered(FlowState& fs) override;
   void on_flow_path_changed(FlowState& fs) override;
-  void on_message_work_done(FlowState& fs, const Packet& last_pkt, Nanos done) override;
+  void on_message_work_done(FlowState& fs, std::uint64_t message_id, Nanos done) override;
 
  private:
   struct Ext {
     SwRing sw;
     std::unique_ptr<ElasticBuffer> elastic;
-    GrowRing<Packet> landed_slow;  // drained packets now in host memory
+    GrowRing<PacketRef> landed_slow;  // drained packets now in host memory
     std::int64_t unreleased = 0;     // consumed credits pending lazy release
     std::int64_t processed_since_release = 0;
     std::int64_t lost_fast = 0;      // fast-path packets lost after steering
@@ -217,7 +213,7 @@ class CeioDatapath final : public DatapathBase {
     BufferId next_landing_buffer = 0;  // rotating slow-path landing ids
     // Driver facade (manual-consume) state.
     bool manual = false;
-    GrowRing<Packet> driver_queue;   // in-order packets awaiting recv()
+    GrowRing<PacketRef> driver_queue;  // in-order packets awaiting recv()
     GrowRing<BufferId> posted;       // app-owned zero-copy buffers
     BufferId next_posted_id = 0;
     // Bypass flows: slow-path packets landed in host memory whose message
@@ -230,18 +226,20 @@ class CeioDatapath final : public DatapathBase {
     std::unordered_map<std::uint64_t, std::pair<std::int32_t, std::int32_t>> msg_path_counts;
   };
 
+  /// Non-null exactly while the flow is registered: an Ext is created and
+  /// erased together with the flow's FlowState.
   Ext* ext_of(FlowId id);
   const Ext* ext_of(FlowId id) const;
 
-  void deliver_fast_path(FlowState& fs, Ext& ext, Packet pkt);  // lint: allow-packet-copy (move-sink)
-  void deliver_slow_path(FlowState& fs, Ext& ext, Packet pkt);  // lint: allow-packet-copy (move-sink)
+  void deliver_fast_path(FlowState& fs, Ext& ext, PacketRef ref);
+  void deliver_slow_path(FlowState& fs, Ext& ext, PacketRef ref);
   void on_fast_landed(FlowId flow, PacketRef ref);
-  void on_slow_read_complete(FlowId flow, Packet pkt, Nanos now);  // lint: allow-packet-copy (move-sink)
-  void land_slow_involved(FlowId flow, Packet pkt);  // lint: allow-packet-copy (move-sink)
+  void on_slow_read_complete(FlowId flow, PacketRef ref);
+  void land_slow_involved(FlowId flow, PacketRef ref);
 
   void pump(FlowId flow);
   void manual_pump(FlowState& fs, Ext& ext);
-  void process_one(FlowState& fs, Ext& ext, Packet pkt, bool was_slow);  // lint: allow-packet-copy (move-sink)
+  void process_one(FlowState& fs, Ext& ext, PacketRef ref, bool was_slow);
   void schedule_credit_release(FlowId flow, std::int64_t count);
   void note_processed_for_release(FlowState& fs, Ext& ext, const Packet& pkt);
 

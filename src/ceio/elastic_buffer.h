@@ -10,6 +10,9 @@
 // slow path NIC -> on-NIC memory -> PCIe -> LLC/DRAM is latency-bound for
 // small packets (internal PCIe switch + onboard DRAM), reproducing the
 // Figure 11 fast/slow gap.
+//
+// Buffered packets stay parked in the event domain's PacketPool; the ring,
+// the writes and the reads carry handles, and the landed handler owns one.
 #pragma once
 
 #include <cstdint>
@@ -38,19 +41,26 @@ class ElasticBuffer {
  public:
   /// Called when a drained packet's PCIe read completes; the caller finishes
   /// the host-side landing (so it controls cache placement and ring posting).
-  using LandedHandler = std::function<void(Packet pkt, Nanos now)>;  // lint: allow-packet-copy (move-sink)
+  using LandedHandler = std::function<void(PacketRef ref, Nanos now)>;
 
   /// `gate` (optional) is consulted before each read is issued; returning
   /// false pauses the drain (e.g. too many landed-but-unconsumed packets
   /// would flush the LLC). Re-kick with drain() once the gate reopens.
   using IssueGate = std::function<bool()>;
 
-  ElasticBuffer(EventScheduler& sched, NicMemory& nic_mem, DmaEngine& dma,
-                std::size_t drain_window, LandedHandler handler, IssueGate gate = nullptr);
+  ElasticBuffer(EventScheduler& sched, PacketPool& packets, NicMemory& nic_mem,
+                DmaEngine& dma, std::size_t drain_window, LandedHandler handler,
+                IssueGate gate = nullptr);
 
-  /// Buffers a packet in on-NIC memory. Returns false when the on-NIC
-  /// memory is exhausted (caller drops the packet).
-  bool buffer_packet(Packet pkt);  // lint: allow-packet-copy (move-sink)
+  /// Buffers a packet in on-NIC memory, taking over its handle. Returns
+  /// false when the on-NIC memory is exhausted (the caller keeps the handle
+  /// and drops the packet).
+  bool buffer_packet(PacketRef ref);
+
+  /// The owning flow was unregistered. A running drain still reads every
+  /// packet out through the landed handler; otherwise nothing ever will, so
+  /// the packets are released, now and as pending on-NIC writes complete.
+  void discard();
 
   /// Requests draining. Sticky: reads keep being issued (window-bounded)
   /// until the ring and in-flight set are empty, including for packets that
@@ -74,16 +84,20 @@ class ElasticBuffer {
   void issue_ready();
 
   EventScheduler& sched_;
+  PacketPool& packets_;
   NicMemory& nic_mem_;
   DmaEngine& dma_;
-  std::size_t drain_window_;
   LandedHandler handler_;
   IssueGate gate_;
   // Lazy FIFO: an idle flow's elastic buffer holds no ring storage.
-  GrowRing<Packet> ring_;
+  GrowRing<PacketRef> ring_;
+  // Narrow fields packed together: every flow has a buffer, so its size is
+  // part of the pinned per-flow heap footprint.
+  int drain_window_;
   int in_flight_ = 0;
   int pending_writes_ = 0;  // packets still being written into on-NIC DRAM
   bool draining_ = false;
+  bool discarded_ = false;
   ElasticBufferStats stats_;
   Telemetry* tele_ = nullptr;
 };

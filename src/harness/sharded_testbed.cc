@@ -92,10 +92,9 @@ class DomainSlice final : public ShardDomain {
     } else {
       app_ = make_app(*bed_, spec.workload.app);
     }
-    egress_.emplace(
-        bed_->sched(),
-        NetworkLink::Deliver([this](Packet pkt) { on_egress(std::move(pkt)); }),
-        spec.testbed.net);
+    egress_.emplace(bed_->sched(), bed_->packet_pool(),
+                    NetworkLink::Deliver([this](const Packet& pkt) { on_egress(pkt); }),
+                    spec.testbed.net);
     // Egress drops happen in the sender's own domain: the local (full-delay)
     // loss path applies, exactly as on the single-domain link.
     egress_->set_drop_handler([this](const Packet& pkt) {
@@ -153,7 +152,8 @@ class DomainSlice final : public ShardDomain {
   }
 
   void run_phase(Nanos stop, bool at_epoch_end) override {
-    bed_->run_until(stop);
+    // Bare scheduler: audits sweep once per ShardedTestbed::run_until.
+    bed_->sched().run_until(stop);
     // Producer-side flush: a partially filled burst must cross at the epoch
     // boundary or its packets would miss their arrival epoch downstream.
     if (at_epoch_end) flush_pending();
@@ -315,13 +315,13 @@ class DomainSlice final : public ShardDomain {
     }
   }
 
-  void on_egress(Packet pkt) {
+  void on_egress(const Packet& pkt) {
     // Fires at serialization exit; the propagation rides in the mailbox as
     // the arrival stamp (it is the cross-domain lookahead).
     BurstMsg& b = pending_;
     b.when[b.count] = bed_->sched().now() + net_propagation_;
     b.seq[b.count] = next_seq_++;
-    b.pkts[b.count] = std::move(pkt);
+    b.pkts[b.count] = pkt;
     if (++b.count == PacketBurst::kCapacity) flush_pending();
   }
 
@@ -341,7 +341,8 @@ class DomainSlice final : public ShardDomain {
   void dispatch(Nanos, WireEntry e) {
     switch (e.kind) {
       case WireKind::kPacket:
-        bed_->nic().receive(std::move(e.pkt));
+        // The packet enters this domain: park it once in the domain's pool.
+        bed_->nic().receive(bed_->packet_pool().make(std::move(e.pkt)));
         break;
       case WireKind::kDelivered:
         owner_.flows_[e.flow - 1].source->apply_remote_delivered(e.pkt);
@@ -489,7 +490,13 @@ ShardedTestbed::ShardedTestbed(const ExperimentSpec& spec) : spec_(spec) {
 
 ShardedTestbed::~ShardedTestbed() = default;
 
-void ShardedTestbed::run_until(Nanos deadline) { coordinator_->run_until(deadline); }
+void ShardedTestbed::run_until(Nanos deadline) {
+  coordinator_->run_until(deadline);
+  // The workers are parked at the barrier: sweep each audited domain once.
+  for (auto& slice : slices_) {
+    if (slice->bed().auditor() != nullptr) slice->bed().run_audit_sweep();
+  }
+}
 
 Nanos ShardedTestbed::now() const { return coordinator_->now(); }
 

@@ -4,10 +4,24 @@
 #include "telemetry/telemetry.h"
 
 namespace ceio {
+namespace {
+// True once `pkt` is the last outstanding packet of its message in `counts`.
+bool completes_message(std::unordered_map<std::uint64_t, std::uint32_t>& counts,
+                       const Packet& pkt) {
+  // A single-packet message (the RPC steady state) skips the map round
+  // trip: inserting and immediately erasing the entry would pay a hash-node
+  // allocation per message for a count that can only ever reach 1.
+  if (pkt.message_pkts <= 1) return true;
+  auto& count = counts[pkt.message_id];
+  if (++count < pkt.message_pkts) return false;
+  counts.erase(pkt.message_id);
+  return true;
+}
+}  // namespace
 
-DatapathBase::DatapathBase(EventScheduler& sched, DmaEngine& dma, MemoryController& mc,
-                           BufferPool& host_pool)
-    : sched_(sched), dma_(dma), mc_(mc), host_pool_(host_pool) {}
+DatapathBase::DatapathBase(EventScheduler& sched, PacketPool& packets, DmaEngine& dma,
+                           MemoryController& mc, BufferPool& host_pool)
+    : sched_(sched), packets_(packets), dma_(dma), mc_(mc), host_pool_(host_pool) {}
 
 void DatapathBase::register_flow(const FlowRuntime& rt) {
   const bool inserted = !flows_.contains(rt.config.id);
@@ -81,14 +95,28 @@ const FlowPathStats* DatapathBase::flow_stats(FlowId id) const {
 
 DatapathBase::FlowState* DatapathBase::state_of(FlowId id) { return flows_.find(id); }
 
-void DatapathBase::drop_packet(FlowState& fs, const Packet& pkt) {
+DatapathBase::FlowState* DatapathBase::live_state(FlowId flow, PacketRef ref) {
+  FlowState* fs = state_of(flow);
+  if (fs == nullptr) packets_.release(ref);
+  return fs;
+}
+
+void DatapathBase::on_packet(PacketRef ref) {
+  if (FlowState* fs = live_state(packets_.get(ref)->flow, ref)) {
+    deliver_fast(*fs, ref, fs->ring.get());
+  }
+}
+
+void DatapathBase::drop_packet(FlowState& fs, PacketRef ref) {
+  const Packet& pkt = *packets_.get(ref);
   ++fs.stats.dropped_pkts;
   CEIO_T_INSTANT(tele_, TraceTrack::kDatapath, "drop", sched_.now(),
                  static_cast<double>(pkt.size.count()), pkt.flow);
   if (fs.rt.source != nullptr) fs.rt.source->notify_dropped(pkt);
+  packets_.release(ref);
 }
 
-void DatapathBase::deliver_fast(FlowState& fs, Packet pkt, RxRing* ring) {
+void DatapathBase::deliver_fast(FlowState& fs, PacketRef ref, RxRing* ring) {
   const bool bypass = !fs.rt.app->per_packet_cpu();
   BufferId buffer = 0;
   if (bypass) {
@@ -97,28 +125,27 @@ void DatapathBase::deliver_fast(FlowState& fs, Packet pkt, RxRing* ring) {
   } else {
     const auto acquired = host_pool_.acquire();
     if (!acquired) {
-      drop_packet(fs, pkt);
+      drop_packet(fs, ref);
       return;
     }
     buffer = *acquired;
   }
+  Packet& pkt = *packets_.get(ref);
   pkt.host_buffer = buffer;
   ++fs.stats.fast_path_pkts;
   const FlowId flow = fs.rt.config.id;
   CEIO_T_PATH_HOP(tele_, pkt.flow, pkt.seq, PathHop::kDmaIssue, sched_.now());
   const bool expect_read = fs.rt.app->reads_delivered_data();
-  const Bytes size = pkt.size;
-  // Park the packet; the completion carries only its 4-byte handle, so the
-  // capture stays inside the DMA engine's inline budget (no allocation).
-  const PacketRef ref = pool_.make(std::move(pkt));
+  // The completion carries only the 4-byte handle, so the capture stays
+  // inside the DMA engine's inline budget (no allocation).
   dma_.write_to_host(
-      buffer, size, /*ddio=*/true,
+      buffer, pkt.size, /*ddio=*/true,
       [this, flow, ref, ring](Nanos) { on_host_landed(flow, ref, ring); },
       expect_read);
 }
 
 void DatapathBase::on_host_landed(FlowId flow, PacketRef ref, RxRing* ring) {
-  Packet pkt = pool_.take(ref);
+  const Packet& pkt = *packets_.get(ref);
   FlowState* fs = state_of(flow);
   if (fs == nullptr) {
     // Flow was unregistered while the DMA was in flight; recycle the buffer
@@ -126,20 +153,21 @@ void DatapathBase::on_host_landed(FlowId flow, PacketRef ref, RxRing* ring) {
     if (pkt.host_buffer != 0 && pkt.host_buffer < kBypassBufferBase) {
       host_pool_.release(pkt.host_buffer);
     }
+    packets_.release(ref);
     return;
   }
   if (fs->rt.source != nullptr) fs->rt.source->notify_delivered(pkt);
   if (!fs->rt.app->per_packet_cpu()) {
     // Bypass flows never touch a core: the path ends where the data lands.
     CEIO_T_PATH_DONE(tele_, pkt.flow, pkt.seq, PathHop::kHostLanded, sched_.now());
-    note_delivered_message_progress(*fs, pkt, sched_.now());
+    land_bypass(*fs, ref, sched_.now());
     return;
   }
   CEIO_T_PATH_HOP(tele_, pkt.flow, pkt.seq, PathHop::kHostLanded, sched_.now());
-  if (ring == nullptr || !ring->post(pkt)) {
+  if (ring == nullptr || !ring->post(ref)) {
     host_pool_.release(pkt.host_buffer);
     mc_.release_buffer(pkt.host_buffer);
-    drop_packet(*fs, pkt);
+    drop_packet(*fs, ref);
     return;
   }
   pump(*fs, ring);
@@ -147,13 +175,14 @@ void DatapathBase::on_host_landed(FlowId flow, PacketRef ref, RxRing* ring) {
 
 void DatapathBase::pump(FlowState& fs, RxRing* ring) {
   if (fs.pumping || ring == nullptr) return;
-  auto pkt = ring->poll();
-  if (!pkt) return;
+  const PacketRef ref = ring->poll();
+  if (!ref) return;
   fs.pumping = true;
-  process_packet(fs, std::move(*pkt), ring);
+  process_packet(fs, ref, ring);
 }
 
-void DatapathBase::process_packet(FlowState& fs, Packet pkt, RxRing* ring) {
+PacketWork DatapathBase::packet_work(FlowState& fs, PacketRef ref) {
+  const Packet& pkt = *packets_.get(ref);
   const AppPacketCosts costs = fs.rt.app->packet_costs(pkt);
   PacketWork work;
   work.buffer = pkt.host_buffer;
@@ -161,54 +190,41 @@ void DatapathBase::process_packet(FlowState& fs, Packet pkt, RxRing* ring) {
   work.app_cost = costs.app_cost;
   work.read_buffer = costs.read_buffer;
   work.copy_to = costs.copy_to;
-  const FlowId flow = fs.rt.config.id;
   CEIO_T_PATH_HOP(tele_, pkt.flow, pkt.seq, PathHop::kCpuStart, sched_.now());
-  const PacketRef ref = pool_.make(std::move(pkt));
+  return work;
+}
+
+void DatapathBase::process_packet(FlowState& fs, PacketRef ref, RxRing* ring) {
+  PacketWork work = packet_work(fs, ref);
+  const FlowId flow = fs.rt.config.id;
   work.on_done = [this, flow, ref, ring](Nanos done) {
-    Packet done_pkt = pool_.take(ref);
+    const Packet& done_pkt = *packets_.get(ref);
     FlowState* fs2 = state_of(flow);
     if (fs2 == nullptr) {
       if (done_pkt.host_buffer != 0) host_pool_.release(done_pkt.host_buffer);
+      packets_.release(ref);
       return;
     }
     host_pool_.release(done_pkt.host_buffer);
     mc_.release_buffer(done_pkt.host_buffer);
     CEIO_T_PATH_DONE(tele_, done_pkt.flow, done_pkt.seq, PathHop::kProcessed, done);
-    on_packet_processed_hook(*fs2, done_pkt);
     note_processed_message_progress(*fs2, done_pkt, done);
+    packets_.release(ref);
     fs2->pumping = false;
     pump(*fs2, ring);
   };
   fs.rt.core->submit(std::move(work));
 }
 
-void DatapathBase::note_delivered_message_progress(FlowState& fs, const Packet& pkt,
-                                                   Nanos now) {
-  if (pkt.message_pkts <= 1) {
-    // Single-packet message (the RPC steady state): skip the map round trip
-    // — inserting and immediately erasing the entry would pay a hash-node
-    // allocation per message for a count that can only ever reach 1.
-    run_message_work(fs, pkt, now);
-    return;
-  }
-  auto& count = fs.delivered_count[pkt.message_id];
-  ++count;
-  if (count < pkt.message_pkts) return;
-  fs.delivered_count.erase(pkt.message_id);
-  run_message_work(fs, pkt, now);
+void DatapathBase::land_bypass(FlowState& fs, PacketRef ref, Nanos now) {
+  const Packet& pkt = *packets_.get(ref);
+  if (completes_message(fs.delivered_count, pkt)) run_message_work(fs, pkt, now);
+  packets_.release(ref);
 }
 
 void DatapathBase::note_processed_message_progress(FlowState& fs, const Packet& pkt,
                                                    Nanos done) {
-  if (pkt.message_pkts <= 1) {
-    run_message_work(fs, pkt, done);
-    return;
-  }
-  auto& count = fs.processed_count[pkt.message_id];
-  ++count;
-  if (count < pkt.message_pkts) return;
-  fs.processed_count.erase(pkt.message_id);
-  run_message_work(fs, pkt, done);
+  if (completes_message(fs.processed_count, pkt)) run_message_work(fs, pkt, done);
 }
 
 void DatapathBase::run_message_work(FlowState& fs, const Packet& last_pkt, Nanos now) {
@@ -217,7 +233,7 @@ void DatapathBase::run_message_work(FlowState& fs, const Packet& last_pkt, Nanos
   FlowFeedback* source = fs.rt.source;
   if (costs.app_cost == Nanos{0} && costs.copy_bytes == Bytes{0}) {
     if (source != nullptr) source->notify_message_complete(message_id, now);
-    on_message_work_done(fs, last_pkt, now);
+    on_message_work_done(fs, message_id, now);
     return;
   }
   // Message work (e.g. LineFS replication + logging) runs on the flow's
@@ -244,12 +260,10 @@ void DatapathBase::run_message_work(FlowState& fs, const Packet& last_pkt, Nanos
     work.copy_to = costs.copy_to;
   }
   const FlowId flow = fs.rt.config.id;
-  const PacketRef ref = pool_.make(last_pkt);
-  work.on_done = [this, source, message_id, flow, ref](Nanos done) {
-    const Packet done_pkt = pool_.take(ref);
+  work.on_done = [this, source, message_id, flow](Nanos done) {
     if (source != nullptr) source->notify_message_complete(message_id, done);
     FlowState* fs2 = state_of(flow);
-    if (fs2 != nullptr) on_message_work_done(*fs2, done_pkt, done);
+    if (fs2 != nullptr) on_message_work_done(*fs2, message_id, done);
   };
   fs.rt.core->submit(std::move(work));
 }

@@ -12,6 +12,12 @@
 //   * per-flow RX ring pumping onto the flow's pinned core,
 //   * message progress accounting and completion callbacks,
 //   * CPU-bypass handling (per-message work instead of per-packet).
+//
+// Packets reach a datapath as PacketRef handles into the event domain's
+// single PacketPool (passed in by reference; the Testbed owns it) and every
+// hop — DMA completion, RX ring, CPU work item — carries the handle, never
+// a Packet copy. The hop where a packet leaves the domain releases it: CPU
+// work done, a drop, or a bypass landing.
 #pragma once
 
 #include <cstdint>
@@ -69,12 +75,6 @@ class IoDatapath : public PacketSink, public policy::PolicyHost {
   /// Invokes `fn` on every live RX descriptor ring (model-auditor sweeps).
   virtual void for_each_ring(const std::function<void(const RxRing&)>& fn) const { (void)fn; }
 
-  /// Slots ever handed out by the datapath's packet pool. Flat across a
-  /// steady-state window means the pool recycled its warm slots instead of
-  /// growing (the zero-allocation test's probe); 0 for datapaths without a
-  /// pool.
-  virtual std::size_t pool_slots() const { return 0; }
-
   /// Attaches a trace sink (per-packet path hops, drop instants). Policies
   /// extend this to trace their own machinery (CEIO: credits, steering).
   virtual void set_telemetry(Telemetry* tele) { (void)tele; }
@@ -85,13 +85,14 @@ class IoDatapath : public PacketSink, public policy::PolicyHost {
 
 class DatapathBase : public IoDatapath {
  public:
-  DatapathBase(EventScheduler& sched, DmaEngine& dma, MemoryController& mc,
-               BufferPool& host_pool);
+  DatapathBase(EventScheduler& sched, PacketPool& packets, DmaEngine& dma,
+               MemoryController& mc, BufferPool& host_pool);
 
+  /// Plain fast-path delivery into the flow's own ring (legacy, HostCC).
+  void on_packet(PacketRef ref) override;
   void register_flow(const FlowRuntime& rt) override;
   void unregister_flow(FlowId id) override;
   void for_each_ring(const std::function<void(const RxRing&)>& fn) const override;
-  std::size_t pool_slots() const override { return pool_.slots(); }
   void set_telemetry(Telemetry* tele) override { tele_ = tele; }
   void register_metrics(MetricRegistry& registry) override;
 
@@ -130,37 +131,40 @@ class DatapathBase : public IoDatapath {
   /// Hook: called when the policy layer changes a flow's path override
   /// (CEIO re-steers the flow's remap-table entry immediately).
   virtual void on_flow_path_changed(FlowState& fs) { (void)fs; }
-  /// Hook: called when the CPU finished one packet (CEIO releases credits).
-  virtual void on_packet_processed_hook(FlowState& fs, const Packet& pkt) {
-    (void)fs;
-    (void)pkt;
-  }
-
   /// Hook: called when a message's completion work has fully retired — the
   /// moment buffer ownership returns to the driver (CEIO replenishes a
   /// bypass flow's credits here, per the write-with-immediate protocol).
-  virtual void on_message_work_done(FlowState& fs, const Packet& last_pkt, Nanos done) {
+  virtual void on_message_work_done(FlowState& fs, std::uint64_t message_id, Nanos done) {
     (void)fs;
-    (void)last_pkt;
+    (void)message_id;
     (void)done;
   }
 
   FlowState* state_of(FlowId id);
 
+  /// The flow's state; nullptr once the flow is gone, after releasing the
+  /// packet `ref` (it leaves the domain with its flow).
+  FlowState* live_state(FlowId flow, PacketRef ref);
+
   /// Fast-path delivery: acquire a host buffer, DMA through PCIe/IIO into
   /// LLC (DDIO), then hand off to `ring` (CPU-involved) or to message
   /// accounting (CPU-bypass). `ring` may differ from fs.ring (ShRing).
-  void deliver_fast(FlowState& fs, Packet pkt, RxRing* ring);  // lint: allow-packet-copy (move-sink)
+  void deliver_fast(FlowState& fs, PacketRef ref, RxRing* ring);
 
-  /// Drop accounting + loss feedback to the sender.
-  void drop_packet(FlowState& fs, const Packet& pkt);
+  /// Drop accounting + loss feedback to the sender; releases the packet.
+  void drop_packet(FlowState& fs, PacketRef ref);
+
+  /// The CPU work item for one landed packet, per the flow's app cost model
+  /// (the caller adds the completion).
+  PacketWork packet_work(FlowState& fs, PacketRef ref);
 
   /// Starts/continues draining `ring` onto the flow's core, one packet in
   /// flight per flow.
   void pump(FlowState& fs, RxRing* ring);
 
-  /// Message-level progress at DMA-completion granularity (bypass flows).
-  void note_delivered_message_progress(FlowState& fs, const Packet& pkt, Nanos now);
+  /// A bypass packet's last hop: message-level progress at DMA-completion
+  /// granularity, then the packet is released.
+  void land_bypass(FlowState& fs, PacketRef ref, Nanos now);
 
   /// Message-level progress at CPU-processing granularity (involved flows).
   void note_processed_message_progress(FlowState& fs, const Packet& pkt, Nanos done);
@@ -169,16 +173,13 @@ class DatapathBase : public IoDatapath {
   void run_message_work(FlowState& fs, const Packet& last_pkt, Nanos now);
 
   EventScheduler& sched_;
+  // The event domain's packet pool: every DMA completion, ring slot and CPU
+  // work item carries a 4-byte PacketRef into it instead of the ~80-byte
+  // Packet, keeping per-packet callbacks inside the InlineFunction budget.
+  PacketPool& packets_;
   DmaEngine& dma_;
   MemoryController& mc_;
   BufferPool& host_pool_;
-  // In-flight packet slab: packets park here while a DMA or CPU work item is
-  // outstanding, and the completion captures a 4-byte PacketRef instead of
-  // the ~80-byte Packet — keeping every per-packet callback inside the
-  // InlineFunction inline budget. RX rings hand out slots from the same
-  // pool. Declared before flows_ so it outlives the per-flow rings that
-  // hold references into it.
-  PacketPool pool_;
   // Dense slab keyed by flow id: state_of() is on the per-packet fast path
   // and fig12 runs 2^20 flows, so lookups must be O(1) array probes (no
   // hashing, no tree walk). Iteration is id-ordered by construction, which
@@ -192,7 +193,7 @@ class DatapathBase : public IoDatapath {
   policy::FlowPathOverride kind_path_[2] = {policy::FlowPathOverride::kAuto,
                                             policy::FlowPathOverride::kAuto};
   void on_host_landed(FlowId flow, PacketRef ref, RxRing* ring);
-  void process_packet(FlowState& fs, Packet pkt, RxRing* ring);  // lint: allow-packet-copy (move-sink)
+  void process_packet(FlowState& fs, PacketRef ref, RxRing* ring);
 };
 
 }  // namespace ceio

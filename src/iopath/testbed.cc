@@ -60,26 +60,26 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)), rng_(config
   }
   nic_mem_ = std::make_unique<NicMemory>(config_.nic_mem);
   rmt_ = std::make_unique<RmtEngine>(sched_, config_.rmt);
-  nic_ = std::make_unique<Nic>(sched_, config_.nic);
-  link_ = std::make_unique<NetworkLink>(sched_, *nic_, config_.net);
+  nic_ = std::make_unique<Nic>(sched_, packets_, config_.nic);
+  link_ = std::make_unique<NetworkLink>(sched_, packets_, *nic_, config_.net);
 
   const Bytes buf = config_.llc.buffer_bytes;
   const auto ddio_capacity = static_cast<std::size_t>(config_.llc.ddio_bytes() / buf);
   switch (config_.system) {
     case SystemKind::kLegacy:
       host_pool_ = std::make_unique<BufferPool>(config_.legacy_pool_buffers, buf);
-      datapath_ = std::make_unique<LegacyDatapath>(sched_, *dma_, *mc_, *host_pool_,
+      datapath_ = std::make_unique<LegacyDatapath>(sched_, packets_, *dma_, *mc_, *host_pool_,
                                                    config_.legacy);
       break;
     case SystemKind::kHostcc:
       host_pool_ = std::make_unique<BufferPool>(config_.legacy_pool_buffers, buf);
-      datapath_ = std::make_unique<HostccDatapath>(sched_, *dma_, *mc_, *host_pool_, *iio_,
+      datapath_ = std::make_unique<HostccDatapath>(sched_, packets_, *dma_, *mc_, *host_pool_, *iio_,
                                                    *dram_, *llc_, config_.hostcc);
       break;
     case SystemKind::kShring: {
       host_pool_ = std::make_unique<BufferPool>(
           std::max<std::size_t>(config_.shring_pool_entries, 64), buf);
-      datapath_ = std::make_unique<ShringDatapath>(sched_, *dma_, *mc_, *host_pool_,
+      datapath_ = std::make_unique<ShringDatapath>(sched_, packets_, *dma_, *mc_, *host_pool_,
                                                    config_.shring);
       break;
     }
@@ -90,8 +90,8 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)), rng_(config
       }
       host_pool_ = std::make_unique<BufferPool>(
           static_cast<std::size_t>(ceio_cfg.total_credits) * 2 + 1024, buf);
-      auto ceio = std::make_unique<CeioDatapath>(sched_, *dma_, *mc_, *host_pool_, *rmt_,
-                                                 *nic_mem_, ceio_cfg);
+      auto ceio = std::make_unique<CeioDatapath>(sched_, packets_, *dma_, *mc_, *host_pool_,
+                                                 *rmt_, *nic_mem_, ceio_cfg);
       ceio_ = ceio.get();
       datapath_ = std::move(ceio);
       break;
@@ -150,7 +150,7 @@ policy::GovernorSample Testbed::sample_governor_gauges() const {
 void Testbed::governor_tick() {
   const policy::GovernorDecision d = governor_->decide(sample_governor_gauges());
   if (d.changed) {
-    policy::apply_decision(d, *datapath_, sched_, governor_base_involved_cap_,
+    policy::apply_decision(d, *datapath_, governor_base_involved_cap_,
                            governor_base_bypass_cap_);
     CEIO_T_INSTANT(telemetry_.get(), TraceTrack::kGovernor, to_string(d.tier),
                    sched_.now(), d.credit_scale, 0);

@@ -170,6 +170,9 @@ class Testbed {
   ModelAuditor& enable_audit(Nanos interval = micros(100));
   /// Non-null once enable_audit has run.
   ModelAuditor* auditor() { return auditor_.get(); }
+  /// Sweeps the invariant pack now, logging new violations (run_for and
+  /// run_until end with one; the sharded harness calls it per run_until).
+  void run_audit_sweep();
 
   // ---- Telemetry (src/telemetry/) ----
   /// Constructs the telemetry facade (idempotent), attaches it to every
@@ -209,6 +212,8 @@ class Testbed {
 
   // ---- Substrate access (white-box tests, benches) ----
   EventScheduler& sched() { return sched_; }
+  /// The domain's one packet pool (link, NIC and datapaths; nic/packet.h).
+  PacketPool& packet_pool() { return packets_; }
   Rng& rng() { return rng_; }
   LlcModel& llc() { return *llc_; }
   DramModel& dram() { return *dram_; }
@@ -238,6 +243,8 @@ class Testbed {
   TestbedConfig config_;
   Rng rng_;
   EventScheduler sched_;
+  // Ahead of the link, NIC and datapath: outlives every queue of handles.
+  PacketPool packets_;
 
   std::unique_ptr<LlcModel> llc_;
   std::unique_ptr<DramModel> dram_;
@@ -276,7 +283,6 @@ class Testbed {
   std::size_t governor_base_involved_cap_ = 0;
   std::size_t governor_base_bypass_cap_ = 0;
 
-  void run_audit_sweep();
   void schedule_audit_sweep();
   std::unique_ptr<ModelAuditor> auditor_;
   std::unique_ptr<Telemetry> telemetry_;

@@ -82,7 +82,7 @@ void FlowSource::emit_packet() {
     Packet retx = retx_queue_.pop_front();
     ++stats_.packets_sent;
     stats_.bytes_sent += retx.size;
-    link_.send(std::move(retx));
+    link_.send(retx);
     schedule_emit();
     return;
   }
@@ -115,7 +115,7 @@ void FlowSource::emit_packet() {
   }
   ++stats_.packets_sent;
   stats_.bytes_sent += pkt.size;
-  link_.send(std::move(pkt));
+  link_.send(pkt);
   schedule_emit();
 }
 

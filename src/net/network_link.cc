@@ -12,7 +12,7 @@ Bytes NetworkLink::queue_depth(Nanos now) const {
   return Bytes{static_cast<std::int64_t>(backlog_ns * config_.rate.count() / 8.0 / 1e9)};
 }
 
-void NetworkLink::send(Packet pkt) {
+void NetworkLink::send(const Packet& pkt) {
   const Nanos now = sched_.now();
   const Bytes depth = queue_depth(now);
   if (depth + pkt.size > config_.queue_capacity) {
@@ -20,8 +20,9 @@ void NetworkLink::send(Packet pkt) {
     if (on_drop_) on_drop_(pkt);
     return;
   }
+  const PacketRef ref = packets_.make(pkt);
   if (depth >= config_.ecn_threshold) {
-    pkt.ecn = true;
+    packets_.get(ref)->ecn = true;
     ++stats_.ecn_marks;
   }
   stats_.peak_queue = std::max(stats_.peak_queue, depth + pkt.size);
@@ -33,7 +34,7 @@ void NetworkLink::send(Packet pkt) {
   // Egress mode hands the packet off at serialization exit; the propagation
   // is accounted as cross-domain transit by the harness.
   const Nanos at = nic_ != nullptr ? egress_free_ + config_.propagation : egress_free_;
-  arrivals_.push(at, pool_.make(std::move(pkt)));
+  arrivals_.push(at, ref);
 }
 
 }  // namespace ceio

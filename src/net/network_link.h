@@ -5,6 +5,10 @@
 // the marking threshold and dropped when the queue overflows. This is the
 // "network" of the testbed: enough to exercise the CCA coupling that the
 // HostCC and ShRing baselines rely on, without simulating a full fabric.
+//
+// A packet enters its event domain here: send() parks it in the domain's
+// PacketPool and only its PacketRef moves on. An egress-mode link (sharded
+// runs) hands the value to the mailbox instead and releases the handle.
 #pragma once
 
 #include <cstdint>
@@ -39,30 +43,34 @@ class NetworkLink {
   /// Called when the link had to drop a packet (queue overflow).
   using DropHandler = std::function<void(const Packet&)>;
   /// Egress-mode delivery: fires at serialization exit (see below).
-  using Deliver = InlineFunction<void(Packet), 48>;
+  using Deliver = InlineFunction<void(const Packet&), 48>;
 
-  NetworkLink(EventScheduler& sched, Nic& nic, const NetworkLinkConfig& config = {})
+  NetworkLink(EventScheduler& sched, PacketPool& packets, Nic& nic,
+              const NetworkLinkConfig& config = {})
       : sched_(sched),
+        packets_(packets),
         nic_(&nic),
         config_(config),
-        arrivals_(sched, [this](Nanos, PacketRef ref) { dispatch(pool_.take(ref)); }) {}
+        arrivals_(sched, [this](Nanos, PacketRef ref) { dispatch(ref); }) {}
 
   /// Egress mode, for sharded runs: the receiver NIC lives in another event
   /// domain, so `deliver` fires when a packet *exits the serializer* — the
   /// propagation delay is then spent as cross-domain mailbox transit (it is
   /// the lookahead), not rescheduled locally. Queueing, ECN marking and
   /// drops still happen here, in the sender's domain.
-  NetworkLink(EventScheduler& sched, Deliver deliver, const NetworkLinkConfig& config = {})
+  NetworkLink(EventScheduler& sched, PacketPool& packets, Deliver deliver,
+              const NetworkLinkConfig& config = {})
       : sched_(sched),
+        packets_(packets),
         nic_(nullptr),
         deliver_(std::move(deliver)),
         config_(config),
-        arrivals_(sched, [this](Nanos, PacketRef ref) { dispatch(pool_.take(ref)); }) {}
+        arrivals_(sched, [this](Nanos, PacketRef ref) { dispatch(ref); }) {}
 
   void set_drop_handler(DropHandler handler) { on_drop_ = std::move(handler); }
 
-  /// Enqueues a packet from a sender. Marks/drops per queue state.
-  void send(Packet pkt);
+  /// Enqueues (parks) a packet from a sender. Marks/drops per queue state.
+  void send(const Packet& pkt);
 
   /// Instantaneous queue backlog in bytes.
   Bytes queue_depth(Nanos now) const;
@@ -71,24 +79,23 @@ class NetworkLink {
   const NetworkLinkConfig& config() const { return config_; }
 
  private:
-  void dispatch(Packet pkt) {
+  void dispatch(PacketRef ref) {
     if (nic_ != nullptr) {
-      nic_->receive(std::move(pkt));
+      nic_->receive(ref);
     } else {
-      deliver_(std::move(pkt));
+      deliver_(*packets_.get(ref));
+      packets_.release(ref);
     }
   }
 
   EventScheduler& sched_;
+  PacketPool& packets_;
   Nic* nic_;          // local mode: deliver into this NIC after propagation
   Deliver deliver_;   // egress mode: hand off at serialization exit
   NetworkLinkConfig config_;
   Nanos egress_free_{0};  // when the serializer finishes the current backlog
   NetworkLinkStats stats_;
   DropHandler on_drop_;
-  // In-flight wire packets park here; the arrivals stream moves their
-  // 4-byte handles (a full 512 KiB queue is thousands of entries).
-  PacketPool pool_;
   // Arrivals are serialisation exits (+ constant propagation in local mode):
   // non-decreasing, so the wire is a coalesced stream (one event drains a
   // burst of arrivals).

@@ -5,6 +5,10 @@
 // I/O datapath. The four systems under study (legacy, HostCC, ShRing, CEIO)
 // are all `PacketSink`s composed from the same substrates — the NIC itself
 // is policy-free.
+//
+// Packets pass through as PacketRef handles into the event domain's one
+// PacketPool: the NIC stamps the parked packet in place and hands the sink
+// the handle, which then owns it. The NIC stores no packets of its own.
 #pragma once
 
 #include <cstdint>
@@ -17,11 +21,12 @@
 
 namespace ceio {
 
-/// Receives packets at the exit of the NIC RX pipeline.
+/// Receives packets at the exit of the NIC RX pipeline. The sink takes
+/// ownership of the handle: it must eventually release it (or pass it on).
 class PacketSink {
  public:
   virtual ~PacketSink() = default;
-  virtual void on_packet(Packet pkt) = 0;  // lint: allow-packet-copy (move-sink)
+  virtual void on_packet(PacketRef ref) = 0;
 };
 
 struct NicConfig {
@@ -37,12 +42,16 @@ struct NicRxStats {
 
 class Nic {
  public:
-  explicit Nic(EventScheduler& sched, const NicConfig& config = {})
+  Nic(EventScheduler& sched, PacketPool& packets, const NicConfig& config = {})
       : sched_(sched),
+        packets_(packets),
         config_(config),
         egress_(sched, [this](Nanos, PacketRef ref) {
-          Packet pkt = pool_.take(ref);
-          if (sink_ != nullptr) sink_->on_packet(std::move(pkt));
+          if (sink_ != nullptr) {
+            sink_->on_packet(ref);
+          } else {
+            packets_.release(ref);
+          }
         }) {}
 
   void attach(PacketSink* sink) { sink_ = sink; }
@@ -63,28 +72,27 @@ class Nic {
   /// non-decreasing and the whole RX pipeline is one coalesced stream:
   /// back-to-back packets drain through the firmware in a single event
   /// (each still delivered at its exact per-packet exit time).
-  void receive(Packet pkt) {  // lint: allow-packet-copy (move-sink)
+  void receive(PacketRef ref) {
+    Packet& pkt = *packets_.get(ref);
     ++stats_.packets;
     stats_.bytes += pkt.size;
     const Nanos start = sched_.now() > pipeline_free_ ? sched_.now() : pipeline_free_;
     pipeline_free_ = start + config_.per_packet_cost;
     pkt.nic_arrival = pipeline_free_;
     CEIO_T_PATH_HOP(tele_, pkt.flow, pkt.seq, PathHop::kNicArrival, pipeline_free_);
-    egress_.push(pipeline_free_, pool_.make(std::move(pkt)));
+    egress_.push(pipeline_free_, ref);
   }
 
   const NicRxStats& stats() const { return stats_; }
 
  private:
   EventScheduler& sched_;
+  PacketPool& packets_;
   NicConfig config_;
   PacketSink* sink_ = nullptr;
   Nanos pipeline_free_{0};
   NicRxStats stats_;
   Telemetry* tele_ = nullptr;
-  // Pipeline-resident packets park here; the egress stream's ring moves
-  // 4-byte handles instead of ~80-byte Packets (burst backlogs stay dense).
-  PacketPool pool_;
   CoalescedStream<PacketRef> egress_;
 };
 

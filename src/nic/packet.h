@@ -23,8 +23,10 @@ inline const char* to_string(FlowKind kind) {
   return kind == FlowKind::kCpuInvolved ? "cpu-involved" : "cpu-bypass";
 }
 
-/// A network packet as seen end to end. Packets are value types; the
-/// "payload" is synthetic (only sizes and identities matter to the models).
+/// A network packet as seen end to end. Inside an event domain a packet
+/// lives in the domain's PacketPool and travels as a PacketRef; values are
+/// only exchanged at the mailbox and application boundaries. The "payload"
+/// is synthetic (only sizes and identities matter to the models).
 struct Packet {
   FlowId flow = 0;
   std::uint64_t seq = 0;       // per-flow sequence number, assigned at sender
@@ -41,8 +43,8 @@ struct Packet {
 class PacketPool;
 
 /// Generation-checked 32-bit handle to a packet parked in a PacketPool.
-/// Handles are what the hot pipeline hops move through their queues and
-/// capture in their completion callbacks: 4 bytes instead of the full
+/// Handles are what every pipeline hop moves through its queues and
+/// captures in its completion callbacks: 4 bytes instead of the full
 /// ~80-byte Packet, so ring slots stay dense and callbacks stay inside the
 /// InlineFunction inline budget. The low 8 bits carry the slot's generation
 /// at hand-out time, the high 24 bits the slot index + 1 (all-zero bits is
@@ -69,24 +71,31 @@ class PacketRef {
   std::uint32_t bits_ = 0;
 };
 
-/// Slab allocator for in-flight packets, one per pipeline component (NIC
-/// ingress, wire, datapath). Strictly domain-local — a PacketRef must never
-/// cross an event-domain boundary; boundaries move Packet values (mailbox
-/// messages), preserving the sharded harness's DomainLocal isolation.
+/// Slab allocator for in-flight packets: one per event domain, owned by the
+/// Testbed and shared by reference with the wire, the NIC and every datapath
+/// of that domain. A packet is parked once, where it enters the domain
+/// (NetworkLink::send, or the sharded harness's mailbox injection), and
+/// released once, where it leaves (CPU work done, a drop, a bypass landing,
+/// an egress hand-off to the mailbox, or the CEIO driver's copy-out). Every
+/// hop in between moves the PacketRef and resolves it in place with get().
+/// Packet values appear only at the two boundaries: the cross-domain
+/// mailbox (a PacketRef must never cross an event-domain boundary, which
+/// keeps the sharded harness's DomainLocal isolation) and the application
+/// API (`const Packet&`, PacketBurst).
 ///
 /// Storage is a chunked slab (stable addresses: a resolved Packet* stays
 /// valid across make() calls) with a LIFO free list, so a steady-state
-/// make/take cycle reuses the same hot slots and never allocates. take()
-/// bumps the slot's 8-bit generation, invalidating every outstanding handle
-/// to it; after 256 recycles of one slot the generation wraps and a
-/// sufficiently stale handle would alias (the classic ABA caveat — fine
-/// here, where handles live for one DMA or CPU round trip, and covered by
-/// the pool tests).
+/// make/release cycle reuses the same hot slots and never allocates.
+/// Retiring a slot bumps its 8-bit generation, invalidating every
+/// outstanding handle to it; after 256 recycles of one slot the generation
+/// wraps and a sufficiently stale handle would alias (the classic ABA
+/// caveat — fine here, where a handle lives for one trip through the
+/// domain, and covered by the pool tests).
 class PacketPool {
  public:
   /// Parks a packet and returns its handle. O(1), allocation-free once the
   /// slab has grown to the steady-state in-flight depth.
-  PacketRef make(Packet pkt) {  // lint: allow-packet-copy (move-sink)
+  PacketRef make(Packet pkt) {  // lint: allow-packet-copy (domain entry)
     std::uint32_t slot;
     if (!free_.empty()) {
       slot = free_.back();
@@ -117,8 +126,8 @@ class PacketPool {
     return const_cast<PacketPool*>(this)->get(ref);
   }
 
-  /// Moves the packet out and retires the slot; the handle (and every copy
-  /// of it) goes stale. The handle must be live.
+  /// Moves the packet out of the domain as a value and retires the slot;
+  /// every copy of the handle goes stale. The handle must be live.
   Packet take(PacketRef ref) {
     Packet* pkt = get(ref);
     assert(pkt != nullptr && "take() on a null or stale PacketRef");
@@ -127,8 +136,8 @@ class PacketPool {
     return out;
   }
 
-  /// Retires a live slot without reading it (drop paths). Stale handles are
-  /// ignored, so double-release is harmless.
+  /// Retires a live slot: the packet has left the domain (work done, drop,
+  /// landing). Stale handles are ignored, so double-release is harmless.
   void release(PacketRef ref) {
     if (get(ref) == nullptr) return;
     recycle(ref.slot());
@@ -174,7 +183,7 @@ class PacketBurst {
   bool full() const { return count_ == kCapacity; }
   static constexpr std::size_t capacity() { return kCapacity; }
 
-  void push(Packet pkt) {  // lint: allow-packet-copy (move-sink)
+  void push(Packet pkt) {  // lint: allow-packet-copy (app boundary)
     assert(count_ < kCapacity);
     pkts_[count_++] = std::move(pkt);
   }

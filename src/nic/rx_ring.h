@@ -5,12 +5,13 @@
 // One ring per flow in the legacy/HostCC/CEIO designs; one shared ring for
 // all flows in ShRing.
 //
-// Slots hold 4-byte pooled handles, not Packets: a 4096-entry ring costs
-// 16 KiB instead of ~320 KiB, which is what lets flow-scale runs keep a
-// ring per flow without the descriptor arrays dominating resident memory.
-// The packets themselves park in the owning datapath's PacketPool; the API
-// stays value-typed (post takes a Packet, poll returns one), so callers
-// never see a handle.
+// Slots hold 4-byte PacketRef handles, not Packets: a 4096-entry ring
+// costs 16 KiB instead of ~320 KiB, which is what lets flow-scale runs keep
+// a ring per flow without the descriptor arrays dominating resident memory.
+// The packets stay parked in the event domain's single PacketPool: post()
+// takes a handle the caller already owns, poll() hands it back, and no
+// packet is copied on the way through. A ring destroyed while still holding
+// handles (its flow was unregistered) releases them.
 #pragma once
 
 #include <cstdint>
@@ -27,30 +28,26 @@ class RxRing {
       : ring_(entries), pool_(pool), name_(std::move(name)) {}
 
   ~RxRing() {
-    // Return any still-posted slots to the pool (a flow unregistered with a
-    // non-empty ring); the pool outlives every ring it backs.
+    // The pool outlives every ring of its domain.
     while (auto ref = ring_.pop()) pool_.release(*ref);
   }
 
   RxRing(const RxRing&) = delete;
   RxRing& operator=(const RxRing&) = delete;
 
-  /// Posts a received packet. Returns false (drop) when the ring is full.
-  bool post(Packet pkt) {  // lint: allow-packet-copy (move-sink)
+  /// Posts a received packet. Returns false (drop) when the ring is full;
+  /// the handle then stays with the caller.
+  bool post(PacketRef ref) {
     if (ring_.full()) {
       ++drops_;
       return false;
     }
-    ring_.push(pool_.make(std::move(pkt)));
+    ring_.push(ref);
     return true;
   }
 
-  std::optional<Packet> poll() {
-    auto ref = ring_.pop();
-    if (!ref) return std::nullopt;
-    return pool_.take(*ref);
-  }
-  const Packet& peek(std::size_t i = 0) const { return *pool_.get(ring_.peek(i)); }
+  /// The oldest posted handle, or a null one when the ring is empty.
+  PacketRef poll() { return ring_.pop().value_or(PacketRef{}); }
 
   bool empty() const { return ring_.empty(); }
   bool full() const { return ring_.full(); }

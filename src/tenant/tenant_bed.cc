@@ -74,10 +74,11 @@ TenantAssembly::TenantAssembly(Testbed& bed, const TenantSetConfig& set,
   const TestbedConfig& cfg = bed.config();
   roster_ = tenant_roster(set, cfg.llc.ddio_ways);
 
-  // Per-tenant pools + datapaths behind one demux — what the single-tenant
-  // Testbed constructor builds once, built per tenant here.
+  // Per-tenant buffer pools + datapaths behind one demux — what the
+  // single-tenant Testbed constructor builds once, built per tenant here.
   const Bytes buf = cfg.llc.buffer_bytes;
-  auto demux = std::make_unique<TenantDemux>();
+  PacketPool& packets = bed.packet_pool();
+  auto demux = std::make_unique<TenantDemux>(packets);
   std::vector<int> ways;
   std::size_t shared = static_cast<std::size_t>(cfg.llc.ddio_ways);
   for (const TenantRosterEntry& e : roster_) {
@@ -92,7 +93,7 @@ TenantAssembly::TenantAssembly(Testbed& bed, const TenantSetConfig& set,
       case SystemKind::kLegacy: {
         pools_.push_back(
             std::make_unique<BufferPool>(cfg.legacy_pool_buffers, buf, pool_base(t)));
-        dp = std::make_unique<LegacyDatapath>(bed.sched(), bed.dma(),
+        dp = std::make_unique<LegacyDatapath>(bed.sched(), packets, bed.dma(),
                                               bed.memory_controller(), *pools_.back(),
                                               cfg.legacy);
         break;
@@ -100,7 +101,7 @@ TenantAssembly::TenantAssembly(Testbed& bed, const TenantSetConfig& set,
       case SystemKind::kHostcc: {
         pools_.push_back(
             std::make_unique<BufferPool>(cfg.legacy_pool_buffers, buf, pool_base(t)));
-        dp = std::make_unique<HostccDatapath>(bed.sched(), bed.dma(),
+        dp = std::make_unique<HostccDatapath>(bed.sched(), packets, bed.dma(),
                                               bed.memory_controller(), *pools_.back(),
                                               bed.iio(), bed.dram(), bed.llc(), cfg.hostcc);
         break;
@@ -108,7 +109,7 @@ TenantAssembly::TenantAssembly(Testbed& bed, const TenantSetConfig& set,
       case SystemKind::kShring: {
         pools_.push_back(std::make_unique<BufferPool>(
             std::max<std::size_t>(cfg.shring_pool_entries, 64), buf, pool_base(t)));
-        dp = std::make_unique<ShringDatapath>(bed.sched(), bed.dma(),
+        dp = std::make_unique<ShringDatapath>(bed.sched(), packets, bed.dma(),
                                               bed.memory_controller(), *pools_.back(),
                                               cfg.shring);
         break;
@@ -127,7 +128,7 @@ TenantAssembly::TenantAssembly(Testbed& bed, const TenantSetConfig& set,
         pools_.push_back(std::make_unique<BufferPool>(
             static_cast<std::size_t>(ceio_cfg.total_credits) * 2 + 1024, buf,
             pool_base(t)));
-        auto owned = std::make_unique<CeioDatapath>(bed.sched(), bed.dma(),
+        auto owned = std::make_unique<CeioDatapath>(bed.sched(), packets, bed.dma(),
                                                     bed.memory_controller(), *pools_.back(),
                                                     bed.rmt(), bed.nic_memory(),
                                                     ceio_cfg);

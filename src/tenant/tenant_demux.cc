@@ -22,8 +22,12 @@ IoDatapath* TenantDemux::route(FlowId flow) {
   return t == npos ? nullptr : tenants_[t].datapath.get();
 }
 
-void TenantDemux::on_packet(Packet pkt) {
-  if (IoDatapath* dp = route(pkt.flow)) dp->on_packet(pkt);
+void TenantDemux::on_packet(PacketRef ref) {
+  if (IoDatapath* dp = route(packets_.get(ref)->flow)) {
+    dp->on_packet(ref);
+  } else {
+    packets_.release(ref);  // unmapped flow: dropped at the port
+  }
 }
 
 void TenantDemux::register_flow(const FlowRuntime& rt) {

@@ -16,6 +16,9 @@ namespace ceio::tenant {
 
 class TenantDemux final : public IoDatapath {
  public:
+  /// `packets`: the domain's pool, shared with the tenant datapaths.
+  explicit TenantDemux(PacketPool& packets) : packets_(packets) {}
+
   /// Adds a tenant datapath owning flow ids in [first, last].
   void add_tenant(std::unique_ptr<IoDatapath> datapath, FlowId first, FlowId last);
 
@@ -27,7 +30,7 @@ class TenantDemux final : public IoDatapath {
   std::size_t tenant_of_flow(FlowId flow) const;
 
   const char* name() const override { return "tenant-demux"; }
-  void on_packet(Packet pkt) override;
+  void on_packet(PacketRef ref) override;
   void register_flow(const FlowRuntime& rt) override;
   void unregister_flow(FlowId id) override;
   void for_each_ring(const std::function<void(const RxRing&)>& fn) const override;
@@ -43,6 +46,7 @@ class TenantDemux final : public IoDatapath {
     FlowId last = 0;
   };
   IoDatapath* route(FlowId flow);
+  PacketPool& packets_;
   std::vector<Slot> tenants_;
 };
 

@@ -18,6 +18,20 @@ FlowConfig flow(FlowId id, double rate_gbps = 5.0) {
   return fc;
 }
 
+// Receives landed packets through repeated PacketBurst drains until `want`
+// have arrived or a drain comes back short (nothing more has landed).
+std::vector<Packet> recv_batch(CeioDriver& driver, std::size_t want) {
+  std::vector<Packet> out;
+  PacketBurst burst;
+  while (out.size() < want) {
+    burst.clear();
+    const std::size_t n = driver.recv(burst);
+    out.insert(out.end(), burst.begin(), burst.end());
+    if (n < burst.capacity()) break;
+  }
+  return out;
+}
+
 struct DriverHarness {
   TestbedConfig cfg;
   std::unique_ptr<Testbed> bed;
@@ -35,7 +49,7 @@ struct DriverHarness {
 TEST(CeioDriver, RecvReturnsInOrderPackets) {
   DriverHarness h;
   h.bed->run_for(micros(200));
-  auto batch = h.driver->recv(16);
+  auto batch = recv_batch(*h.driver, 16);
   ASSERT_FALSE(batch.empty());
   std::uint64_t prev = 0;
   bool first = true;
@@ -55,17 +69,22 @@ TEST(CeioDriver, RecvRespectsMaxAndPending) {
   h.bed->run_for(micros(500));
   const auto pending_before = h.driver->pending();
   ASSERT_GT(pending_before, 4u);
-  auto batch = h.driver->recv(3);
-  EXPECT_EQ(batch.size(), 3u);
+  // A burst with room for three takes exactly three.
+  PacketBurst burst;
+  burst.commit(PacketBurst::capacity() - 3);
+  EXPECT_EQ(h.driver->recv(burst), 3u);
+  EXPECT_TRUE(burst.full());
   EXPECT_EQ(h.driver->pending(), pending_before - 3);
-  for (const auto& pkt : batch) h.driver->complete(pkt);
+  for (std::size_t i = PacketBurst::capacity() - 3; i < burst.size(); ++i) {
+    h.driver->complete(burst[i]);
+  }
 }
 
 TEST(CeioDriver, CompleteReleasesCredits) {
   DriverHarness h;
   h.bed->run_for(micros(500));
   const auto before = h.bed->ceio()->credits().credits(1);
-  auto batch = h.driver->recv(64);
+  auto batch = recv_batch(*h.driver, 64);
   ASSERT_GE(batch.size(), 32u);  // at least one lazy-release batch
   for (const auto& pkt : batch) h.driver->complete(pkt);
   h.bed->run_for(micros(10));  // doorbell latency
@@ -81,7 +100,7 @@ TEST(CeioDriver, WithoutCompleteCreditsDrain) {
   DriverHarness h(cfg);
   for (int i = 0; i < 60; ++i) {
     h.bed->run_for(micros(100));
-    (void)h.driver->recv(1024);  // consume but never complete
+    (void)recv_batch(*h.driver, 1024);  // consume but never complete
   }
   EXPECT_LE(h.bed->ceio()->credits().credits(1), 0);
   EXPECT_TRUE(h.bed->ceio()->in_slow_mode(1));
@@ -94,7 +113,7 @@ TEST(CeioDriver, StalledConsumerThrottlesSender) {
   DriverHarness h;
   for (int i = 0; i < 40; ++i) {
     h.bed->run_for(micros(100));
-    (void)h.driver->recv(1024);  // consume but never complete
+    (void)recv_batch(*h.driver, 1024);  // consume but never complete
   }
   EXPECT_GT(h.bed->ceio()->runtime_stats().cca_triggers, 0);
   EXPECT_LT(to_gbps(h.bed->source(1)->current_rate()), 1.0);
@@ -110,9 +129,10 @@ TEST(CeioDriver, AsyncRecvPrefetchesSlowPath) {
   DriverHarness h(cfg);
   h.bed->run_for(micros(300));
   // async_recv arms the drain even before anything has landed.
-  (void)h.driver->async_recv(64);
+  PacketBurst armed;
+  (void)h.driver->async_recv(armed);
   h.bed->run_for(micros(300));
-  auto batch = h.driver->recv(64);
+  auto batch = recv_batch(*h.driver, 64);
   EXPECT_FALSE(batch.empty());
   for (const auto& pkt : batch) h.driver->complete(pkt);
 }
@@ -122,7 +142,7 @@ TEST(CeioDriver, PostRecvZeroCopyBuffersAreUsed) {
   const auto posted = h.driver->post_recv(8);
   ASSERT_EQ(posted.size(), 8u);
   h.bed->run_for(micros(200));
-  auto batch = h.driver->recv(8);
+  auto batch = recv_batch(*h.driver, 8);
   ASSERT_GE(batch.size(), 8u);
   // The first 8 landed packets used the app-posted buffers, in order.
   for (std::size_t i = 0; i < 8; ++i) {
@@ -138,7 +158,7 @@ TEST(CeioDriver, PostRecvZeroCopyBuffersAreUsed) {
 TEST(CeioDriver, MessageCompletionReportedThroughComplete) {
   DriverHarness h;
   h.bed->run_for(micros(300));
-  auto batch = h.driver->recv(32);
+  auto batch = recv_batch(*h.driver, 32);
   ASSERT_FALSE(batch.empty());
   const auto completed_before = h.bed->source(1)->stats().messages_completed;
   for (const auto& pkt : batch) h.driver->complete(pkt);
@@ -155,8 +175,7 @@ TEST(CeioDriver, DetachRestoresAutomaticPump) {
   {
     CeioDriver driver(*bed.ceio(), 1);
     bed.run_for(micros(200));
-    auto batch = driver.recv(1024);
-    for (const auto& pkt : batch) driver.complete(pkt);
+    for (const auto& pkt : recv_batch(driver, 1024)) driver.complete(pkt);
   }  // destructor detaches
   bed.reset_measurement();
   bed.run_for(millis(1));
@@ -164,9 +183,9 @@ TEST(CeioDriver, DetachRestoresAutomaticPump) {
   EXPECT_GT(bed.report(1).mpps, 0.5);
 }
 
-// The allocation-free receive form drains into a caller-owned PacketBurst
-// and matches the legacy vector overload packet-for-packet.
-TEST(CeioDriver, BurstRecvMatchesVectorRecv) {
+// The allocation-free receive form drains in-order packets into a
+// caller-owned PacketBurst and appends to a partially filled one.
+TEST(CeioDriver, BurstRecvAppendsInOrder) {
   DriverHarness h;
   h.bed->run_for(micros(200));
   PacketBurst burst;

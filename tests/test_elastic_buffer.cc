@@ -19,22 +19,23 @@ struct Harness {
   PcieLink link{PcieLinkConfig{}};
   DmaEngine dma{sched, link, mc, DmaEngineConfig{}};
   NicMemory nic_mem{NicMemoryConfig{}};
+  PacketPool pool;
   std::vector<Packet> landed;
   bool gate_open = true;
 
   std::unique_ptr<ElasticBuffer> make(std::size_t window, bool with_gate = false) {
     return std::make_unique<ElasticBuffer>(
-        sched, nic_mem, dma, window,
-        [this](Packet pkt, Nanos) { landed.push_back(std::move(pkt)); },
+        sched, pool, nic_mem, dma, window,
+        [this](PacketRef ref, Nanos) { landed.push_back(pool.take(ref)); },
         with_gate ? ElasticBuffer::IssueGate([this]() { return gate_open; }) : nullptr);
   }
 
-  Packet pkt(std::uint64_t seq, Bytes size = Bytes{512}) {
+  PacketRef pkt(std::uint64_t seq, Bytes size = Bytes{512}) {
     Packet p;
     p.flow = 1;
     p.seq = seq;
     p.size = size;
-    return p;
+    return pool.make(p);
   }
 };
 
@@ -111,8 +112,8 @@ TEST(ElasticBuffer, NicMemoryExhaustionDrops) {
   NicMemoryConfig tiny;
   tiny.capacity = Bytes{1'024};
   NicMemory small(tiny);
-  ElasticBuffer eb(h.sched, small, h.dma, 8,
-                   [&](Packet, Nanos) {});
+  ElasticBuffer eb(h.sched, h.pool, small, h.dma, 8,
+                   [&](PacketRef ref, Nanos) { h.pool.release(ref); });
   EXPECT_TRUE(eb.buffer_packet(h.pkt(1, Bytes{512})));
   EXPECT_TRUE(eb.buffer_packet(h.pkt(2, Bytes{512})));
   EXPECT_FALSE(eb.buffer_packet(h.pkt(3, Bytes{512})));
@@ -141,6 +142,33 @@ TEST(ElasticBuffer, NotIdleWhileWritesPending) {
   EXPECT_EQ(eb->backlog(), 0u);
   h.sched.run_all();
   EXPECT_EQ(eb->backlog(), 1u);
+}
+
+TEST(ElasticBuffer, DiscardReleasesQueuedAndPendingPackets) {
+  Harness h;
+  auto eb = h.make(8);
+  eb->buffer_packet(h.pkt(1));
+  h.sched.run_all();  // first packet written and queued on-NIC
+  eb->buffer_packet(h.pkt(2));  // second still being written
+  EXPECT_EQ(h.pool.live(), 2u);
+  eb->discard();
+  EXPECT_EQ(h.pool.live(), 1u);
+  h.sched.run_all();  // the pending write completes into a discarded buffer
+  EXPECT_EQ(h.pool.live(), 0u);
+  EXPECT_TRUE(h.landed.empty());
+}
+
+TEST(ElasticBuffer, DiscardLetsARunningDrainFinish) {
+  Harness h;
+  auto eb = h.make(1);
+  eb->buffer_packet(h.pkt(1));
+  eb->buffer_packet(h.pkt(2));
+  eb->drain();    // sticky: covers both writes still in progress
+  eb->discard();  // the drain still owns what it will read out
+  h.sched.run_all();
+  ASSERT_EQ(h.landed.size(), 2u);
+  EXPECT_EQ(h.landed[1].seq, 2u);
+  EXPECT_EQ(h.pool.live(), 0u);
 }
 
 }  // namespace

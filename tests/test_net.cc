@@ -14,15 +14,20 @@
 namespace ceio {
 namespace {
 
+// Copies each delivered packet out of the pool and releases it, as the last
+// hop of a datapath would.
 struct CollectSink : PacketSink {
+  explicit CollectSink(PacketPool& p) : pool(p) {}
+  PacketPool& pool;
   std::vector<Packet> packets;
-  void on_packet(Packet pkt) override { packets.push_back(std::move(pkt)); }
+  void on_packet(PacketRef ref) override { packets.push_back(pool.take(ref)); }
 };
 
 struct NetHarness {
   EventScheduler sched;
-  Nic nic{sched, NicConfig{Nanos{0}}};
-  CollectSink sink;
+  PacketPool pool;
+  Nic nic{sched, pool, NicConfig{Nanos{0}}};
+  CollectSink sink{pool};
   Rng rng{1};
 
   NetHarness() { nic.attach(&sink); }
@@ -35,7 +40,7 @@ TEST(NetworkLink, DeliversWithSerializationAndPropagation) {
   NetworkLinkConfig cfg;
   cfg.rate = gbps(8.0);  // 1 GB/s
   cfg.propagation = Nanos{500};
-  NetworkLink link(h.sched, h.nic, cfg);
+  NetworkLink link(h.sched, h.pool, h.nic, cfg);
   Packet pkt;
   pkt.size = Bytes{1000};
   link.send(std::move(pkt));
@@ -50,7 +55,7 @@ TEST(NetworkLink, EcnMarksAboveThreshold) {
   cfg.rate = gbps(8.0);
   cfg.ecn_threshold = Bytes{2'000};
   cfg.queue_capacity = 1 * kMiB;
-  NetworkLink link(h.sched, h.nic, cfg);
+  NetworkLink link(h.sched, h.pool, h.nic, cfg);
   // Burst of back-to-back sends at t=0 builds an instantaneous queue.
   for (int i = 0; i < 10; ++i) {
     Packet pkt;
@@ -70,7 +75,7 @@ TEST(NetworkLink, DropsWhenQueueFull) {
   cfg.rate = gbps(8.0);
   cfg.queue_capacity = Bytes{4'000};
   cfg.ecn_threshold = Bytes{1'000'000};  // never mark
-  NetworkLink link(h.sched, h.nic, cfg);
+  NetworkLink link(h.sched, h.pool, h.nic, cfg);
   int drops = 0;
   link.set_drop_handler([&](const Packet&) { ++drops; });
   for (int i = 0; i < 10; ++i) {
@@ -87,7 +92,7 @@ TEST(NetworkLink, QueueDepthDecays) {
   NetHarness h;
   NetworkLinkConfig cfg;
   cfg.rate = gbps(8.0);
-  NetworkLink link(h.sched, h.nic, cfg);
+  NetworkLink link(h.sched, h.pool, h.nic, cfg);
   Packet pkt;
   pkt.size = Bytes{10'000};
   link.send(std::move(pkt));
@@ -175,10 +180,11 @@ INSTANTIATE_TEST_SUITE_P(Both, DctcpConvergence, ::testing::Values(true, false))
 
 struct SourceHarness {
   EventScheduler sched;
-  Nic nic{sched, NicConfig{Nanos{0}}};
-  CollectSink sink;
+  PacketPool pool;
+  Nic nic{sched, pool, NicConfig{Nanos{0}}};
+  CollectSink sink{pool};
   Rng rng{7};
-  NetworkLink link{sched, nic, NetworkLinkConfig{}};
+  NetworkLink link{sched, pool, nic, NetworkLinkConfig{}};
 
   SourceHarness() { nic.attach(&sink); }
 };

@@ -168,32 +168,52 @@ TEST(BufferPool, BaseOffsetsIdRanges) {
 TEST(RxRing, PostPollDropAccounting) {
   PacketPool pool;
   RxRing ring(2, pool, "test");
-  EXPECT_TRUE(ring.post(make_packet(1)));
-  EXPECT_TRUE(ring.post(make_packet(2)));
-  EXPECT_FALSE(ring.post(make_packet(3)));
+  EXPECT_TRUE(ring.post(pool.make(make_packet(1))));
+  EXPECT_TRUE(ring.post(pool.make(make_packet(2))));
+  const PacketRef rejected = pool.make(make_packet(3));
+  EXPECT_FALSE(ring.post(rejected));
   EXPECT_EQ(ring.drops(), 1);
   EXPECT_DOUBLE_EQ(ring.occupancy_fraction(), 1.0);
-  const auto p = ring.poll();
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->flow, 1u);
+  // A rejected handle stays with the caller, still live.
+  ASSERT_NE(pool.get(rejected), nullptr);
+  pool.release(rejected);
+  const PacketRef p = ring.poll();
+  ASSERT_TRUE(p);
+  EXPECT_EQ(pool.get(p)->flow, 1u);
   EXPECT_EQ(ring.head(), 1u);
   EXPECT_EQ(ring.tail(), 2u);
+  pool.release(p);
+  EXPECT_FALSE(ring.poll() && ring.poll());  // one left, then empty
+}
+
+TEST(RxRing, DestructionReleasesPostedHandles) {
+  PacketPool pool;
+  {
+    RxRing ring(4, pool, "test");
+    ASSERT_TRUE(ring.post(pool.make(make_packet(1))));
+    ASSERT_TRUE(ring.post(pool.make(make_packet(2))));
+    EXPECT_EQ(pool.live(), 2u);
+  }
+  EXPECT_EQ(pool.live(), 0u);
 }
 
 // ---------- Nic pipeline ----------
 
 struct CollectSink : PacketSink {
+  explicit CollectSink(PacketPool& p) : pool(p) {}
+  PacketPool& pool;
   std::vector<Packet> packets;
-  void on_packet(Packet pkt) override { packets.push_back(std::move(pkt)); }
+  void on_packet(PacketRef ref) override { packets.push_back(pool.take(ref)); }
 };
 
 TEST(Nic, DeliversToSinkWithPipelineCost) {
   EventScheduler sched;
-  Nic nic(sched, NicConfig{Nanos{10}});
-  CollectSink sink;
+  PacketPool pool;
+  Nic nic(sched, pool, NicConfig{Nanos{10}});
+  CollectSink sink(pool);
   nic.attach(&sink);
-  nic.receive(make_packet(1));
-  nic.receive(make_packet(2));
+  nic.receive(pool.make(make_packet(1)));
+  nic.receive(pool.make(make_packet(2)));
   sched.run_all();
   ASSERT_EQ(sink.packets.size(), 2u);
   EXPECT_EQ(sink.packets[0].flow, 1u);
@@ -201,14 +221,17 @@ TEST(Nic, DeliversToSinkWithPipelineCost) {
   // Serialized: second packet leaves the pipeline 10 ns after the first.
   EXPECT_EQ(sink.packets[1].nic_arrival - sink.packets[0].nic_arrival, Nanos{10});
   EXPECT_EQ(nic.stats().packets, 2);
+  EXPECT_EQ(pool.live(), 0u);
 }
 
 TEST(Nic, NoSinkIsSafe) {
   EventScheduler sched;
-  Nic nic(sched);
-  nic.receive(make_packet(1));
+  PacketPool pool;
+  Nic nic(sched, pool);
+  nic.receive(pool.make(make_packet(1)));
   sched.run_all();  // must not crash
   EXPECT_EQ(nic.stats().packets, 1);
+  EXPECT_EQ(pool.live(), 0u);  // an unattached NIC drops (and releases)
 }
 
 }  // namespace

@@ -8,9 +8,11 @@
 #include <stdexcept>
 #include <vector>
 
+#include "audit/model_auditor.h"
 #include "common/rng.h"
 #include "harness/experiment.h"
 #include "harness/sharded_testbed.h"
+#include "iopath/testbed.h"
 #include "sim/shard_coordinator.h"
 #include "sim/spsc_mailbox.h"
 
@@ -243,6 +245,27 @@ TEST(ShardedExperiment, PartialBurstsCrossEpochBoundaries) {
   ASSERT_EQ(r.flows.size(), 1u);
   EXPECT_GT(r.flows[0].mpps, 0.0);
   EXPECT_GT(bed.epochs_completed(), 0u);
+}
+
+TEST(ShardedExperiment, AuditedDomainsSweepOncePerRun) {
+  // The invariant pack is swept once per ShardedTestbed::run_until, not once
+  // per epoch: a long audited run must not mostly measure the auditor.
+  ExperimentSpec spec = sharded_spec(SystemKind::kCeio, "echo", 4);
+  ShardedTestbed bed(spec);
+  std::vector<std::int64_t> before;
+  for (int d = 0; d < bed.domains(); ++d) bed.bed(d).enable_audit(seconds(3600));
+  // Let a periodic sweep armed at construction (audit builds) fire once and
+  // re-arm at the hour-long interval.
+  bed.run_until(micros(200));
+  for (int d = 0; d < bed.domains(); ++d) before.push_back(bed.bed(d).auditor()->sweeps());
+  const std::uint64_t epochs = bed.epochs_completed();
+  bed.run_until(micros(200) + spec.measure);
+  ASSERT_GT(bed.epochs_completed() - epochs, 100u);
+  for (int d = 0; d < bed.domains(); ++d) {
+    EXPECT_EQ(bed.bed(d).auditor()->sweeps(), before[static_cast<std::size_t>(d)] + 1)
+        << "domain " << d;
+    EXPECT_TRUE(bed.bed(d).auditor()->violations().empty()) << "domain " << d;
+  }
 }
 
 TEST(ShardedExperiment, RequiresAtLeastTwoDomains) {

@@ -6,7 +6,8 @@
 // the application and back touches no allocator at all. This binary replaces
 // global operator new with a counting shim (same pattern as the scheduler's
 // allocation tests) and asserts the count stays flat across a measurement
-// window of a full CEIO + KV run.
+// window of a full CEIO + KV run. The same shim counts live heap bytes,
+// which pins the per-flow footprint that flow-scale runs multiply.
 //
 // The KV values are sized under libstdc++'s 15-byte SSO threshold so the
 // application's steady-state put (overwrite with a same-sized value) stays
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
@@ -24,17 +26,37 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+// Requested heap bytes currently live through the shim. Each block carries
+// its size in a 16-byte header (keeping malloc's alignment), so the count is
+// a pure function of what the program asked for, independent of how the
+// allocator happened to carve its free lists.
+std::atomic<std::int64_t> g_live_bytes{0};
+constexpr std::size_t kHeader = 16;
+
+void* counted_malloc(std::size_t size) {
+  auto* base = static_cast<char*>(std::malloc(size + kHeader));
+  if (base == nullptr) return nullptr;
+  ++g_allocations;
+  g_live_bytes += static_cast<std::int64_t>(size);
+  *reinterpret_cast<std::size_t*>(base) = size;
+  return base + kHeader;
+}
+
+void counted_free(void* p) {
+  if (p == nullptr) return;
+  char* base = static_cast<char*>(p) - kHeader;
+  g_live_bytes -= static_cast<std::int64_t>(*reinterpret_cast<std::size_t*>(base));
+  std::free(base);
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
+  if (void* p = counted_malloc(size)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++g_allocations;
-  return std::malloc(size);
+  return counted_malloc(size);
 }
 
 // GCC's -Wmismatched-new-delete pairs inlined `new` expressions with the
@@ -45,9 +67,9 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 #endif
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { counted_free(p); }
 
 namespace ceio {
 namespace {
@@ -89,7 +111,7 @@ TEST(ZeroAlloc, KvPipelineSteadyStateDoesNotAllocate) {
   // histogram buckets and flow-table pages all reach their high-water marks.
   bed.run_for(millis(2));
   bed.reset_measurement();
-  const std::size_t warm_pool_slots = bed.datapath().pool_slots();
+  const std::size_t warm_pool_slots = bed.packet_pool().slots();
 
   const std::uint64_t before = g_allocations.load();
   bed.run_for(millis(5));
@@ -97,11 +119,41 @@ TEST(ZeroAlloc, KvPipelineSteadyStateDoesNotAllocate) {
 
   EXPECT_EQ(after - before, 0u)
       << "KV steady state performed " << (after - before) << " heap allocations";
-  // The packet pool recycled its warm slots rather than growing new chunks.
-  EXPECT_EQ(bed.datapath().pool_slots(), warm_pool_slots);
+  // The testbed's single packet pool recycled its warm slots rather than
+  // growing new chunks.
+  EXPECT_EQ(bed.packet_pool().slots(), warm_pool_slots);
   // The run actually moved traffic (the assertion above is meaningless on an
   // idle pipeline).
   EXPECT_GT(bed.aggregate_mpps(), 0.0);
+}
+
+// Heap bytes one add_flow keeps live on a 4096-flow CEIO + KV testbed:
+// the per-flow datapath state (flow slot, RX ring, elastic buffer, credit
+// entry), the pinned core and the source. Flow-scale runs multiply this by
+// 2^20, so it is pinned: a change that grows it must lower it elsewhere or
+// raise the bound here on purpose.
+TEST(ZeroAlloc, PerFlowHeapFootprintIsPinned) {
+#ifdef CEIO_ZERO_ALLOC_MEANINGLESS
+  GTEST_SKIP() << CEIO_ZERO_ALLOC_MEANINGLESS;
+#endif
+  constexpr FlowId kFlows = 4096;
+  // ~16 KiB of it is the 4096-entry fast RX ring of 4-byte handles.
+  constexpr std::int64_t kMaxBytesPerFlow = 18'647;
+  TestbedConfig tc;
+  tc.system = SystemKind::kCeio;
+  tc.seed = 7;
+  Testbed bed(tc);
+  KvStore& kv = bed.make_kv_store();
+  const harness::WorkloadSpec rpc;
+  // One flow first, so lazily built process-wide state is not billed to
+  // the measured flows (the figure then does not depend on test order).
+  bed.add_flow(harness::flow_config(1, rpc), kv);
+  const std::int64_t before = g_live_bytes.load();
+  for (FlowId id = 2; id <= kFlows + 1; ++id) {
+    bed.add_flow(harness::flow_config(id, rpc), kv);
+  }
+  const std::int64_t per_flow = (g_live_bytes.load() - before) / kFlows;
+  EXPECT_LE(per_flow, kMaxBytesPerFlow) << "add_flow grew to " << per_flow << " bytes per flow";
 }
 
 }  // namespace

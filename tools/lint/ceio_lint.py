@@ -32,22 +32,16 @@ raw-stdout
     (common/logging.*) is exempt; deliberate display helpers annotate with
     `// lint: allow-stdout`.
 
-vector-return
-    Hot-path delivery APIs in src/ must not return std::vector<Packet> by
-    value — that is one heap allocation per receive call, exactly what the
-    PacketBurst / caller-provided-buffer forms exist to avoid. Legacy
-    convenience wrappers annotate with `// lint: allow-vector-return`.
-
 packet-copy
-    The hot delivery layers (src/nic, src/sim, src/ceio, src/baselines,
-    src/iopath) move packets as 4-byte pooled PacketRef handles; an API that
-    takes `Packet` by value or returns `std::vector<Packet>` reintroduces an
-    ~80-byte struct copy (or a heap allocation) per hop. By-value `Packet`
-    parameters are checked in headers (the API surface — each one is either
-    a copy bug or a deliberate move-sink, and a move-sink declares itself
-    with `// lint: allow-packet-copy`); vector<Packet> returns are checked
-    in headers and sources (`// lint: allow-vector-return` on an existing
-    legacy wrapper also satisfies this rule, so one annotation suffices).
+    Inside an event domain packets travel as 4-byte PacketRef handles into
+    the domain's one PacketPool; an API in src/ that takes `Packet` by value
+    or returns `std::vector<Packet>` reintroduces an ~80-byte struct copy
+    (or a heap allocation per receive call — what the PacketBurst /
+    caller-provided-buffer forms exist to avoid). By-value `Packet`
+    parameters are checked in headers (the API surface); vector<Packet>
+    returns in headers and sources. The genuine value sinks — where a
+    packet enters the pool or leaves it for the application — declare
+    themselves with `// lint: allow-packet-copy`.
 
 unreflected-config
     Every `struct *Config` defined in src/ must have a field-visitor
@@ -58,7 +52,7 @@ unreflected-config
 
 raw-actuator
     The PolicyHost actuators (credit scale, steer-path overrides, landing
-    caps, backpressure scale, scheduler coalescing, credit-budget resets)
+    caps, backpressure scale, credit-budget resets)
     are the governor's write surface: a layer mutating them directly from
     outside src/policy/ bypasses the decision ladder, its grant-hold
     stability rules and the Perfetto decision track. Call sites that own
@@ -223,56 +217,34 @@ def check_raw_stdout(findings: list[Finding]) -> None:
 # `std::vector<Packet> out(n);` don't trip the rule.
 VECTOR_RETURN_DECL_RE = re.compile(r"\bstd::vector<\s*Packet\s*>\s+(?:\w+::)*\w+\s*\(")
 VECTOR_RETURN_DEF_RE = re.compile(r"\bstd::vector<\s*Packet\s*>\s+(?:\w+::)+\w+\s*\(")
-
-
-def check_vector_return(findings: list[Finding]) -> None:
-    rule = "vector-return"
-    suppress = SUPPRESS_FMT.format(rule=rule)
-    for path in iter_files(("src",), (".h", ".cc", ".cpp")):
-        pattern = VECTOR_RETURN_DECL_RE if path.suffix == ".h" else VECTOR_RETURN_DEF_RE
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
-            if suppress in line or is_comment(line):
-                continue
-            if pattern.search(line):
-                findings.append(
-                    Finding(rule, path, lineno,
-                            "std::vector<Packet> returned by value on a delivery path; "
-                            "drain into a caller-provided PacketBurst/span instead, or "
-                            "annotate '// lint: allow-vector-return' on a legacy wrapper"))
-
-
-# Hot-path layers where packets travel as pooled refs. `\bPacket\b\s+\w+`
-# deliberately fails on `Packet&`, `const Packet&` and `Packet*` (no
-# whitespace after the type name) and on PacketRef/PacketBurst/PacketWork
-# (no word boundary), so only genuine by-value parameters match.
-PACKET_COPY_DIRS = ("src/nic", "src/sim", "src/ceio", "src/baselines", "src/iopath")
+# `\bPacket\b\s+\w+` deliberately fails on `Packet&`, `const Packet&` and
+# `Packet*` (no whitespace after the type name) and on PacketRef/PacketBurst/
+# PacketWork (no word boundary), so only genuine by-value parameters match.
 PACKET_BY_VALUE_RE = re.compile(r"\bPacket\b\s+\w+\s*[,)]")
 
 
 def check_packet_copy(findings: list[Finding]) -> None:
     rule = "packet-copy"
     suppress = SUPPRESS_FMT.format(rule=rule)
-    for path in iter_files(PACKET_COPY_DIRS, (".h", ".cc", ".cpp")):
+    for path in iter_files(("src",), (".h", ".cc", ".cpp")):
         vector_re = VECTOR_RETURN_DECL_RE if path.suffix == ".h" else VECTOR_RETURN_DEF_RE
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
             if suppress in line or is_comment(line):
                 continue
-            if vector_re.search(line) and "lint: allow-vector-return" not in line:
+            if vector_re.search(line):
                 findings.append(
                     Finding(rule, path, lineno,
-                            "std::vector<Packet> return on a pooled hot path; "
-                            "hand out PacketRef handles or drain into a "
-                            "caller-provided buffer, or annotate "
+                            "std::vector<Packet> returned by value; drain into a "
+                            "caller-provided PacketBurst/span instead, or annotate "
                             "'// lint: allow-packet-copy'"))
             # Parameters: headers only — the API surface; definitions mirror
             # their declaration, so one annotation point per function.
             if path.suffix == ".h" and PACKET_BY_VALUE_RE.search(line):
                 findings.append(
                     Finding(rule, path, lineno,
-                            "by-value Packet parameter on a pooled hot path copies "
-                            "~80 bytes per hop; take a PacketRef (or const Packet&), "
-                            "or annotate a deliberate move-sink with "
-                            "'// lint: allow-packet-copy'"))
+                            "by-value Packet parameter copies ~80 bytes per hop; take "
+                            "a PacketRef (or const Packet&), or annotate a genuine "
+                            "value sink with '// lint: allow-packet-copy'"))
 
 
 CONFIG_STRUCT_RE = re.compile(r"\bstruct\s+(\w*Config)\b\s*(?:\{|$)")
@@ -328,12 +300,12 @@ def check_cross_shard(findings: list[Finding]) -> None:
 
 
 # Actuator setters reachable through PolicyHost (plus the CEIO credit-budget
-# reset and the scheduler coalescing knob the governor drives). Only matched
+# reset). Only matched
 # as member calls (`.` / `->`), so defining the setters inside the backends
 # stays legal; src/policy/ itself is the one place raw pushes belong.
 RAW_ACTUATOR_RE = re.compile(
     r"(?:\.|->)\s*(set_credit_scale|set_flow_path|set_kind_path|set_landed_caps|"
-    r"set_backpressure_scale|set_total_credits|set_coalescing)\s*\("
+    r"set_backpressure_scale|set_total_credits)\s*\("
 )
 
 
@@ -365,7 +337,6 @@ RULES = {
     "std-function-hot-path": check_std_function_hot_path,
     "past-schedule": check_past_schedule,
     "raw-stdout": check_raw_stdout,
-    "vector-return": check_vector_return,
     "unreflected-config": check_unreflected_config,
 }
 

@@ -1,4 +1,5 @@
-// Seeded ceio_lint violations: raw-unit-param, vector-return and
+// Seeded ceio_lint violations: raw-unit-param, packet-copy (a vector return
+// outside the packet layers: the rule covers all of src/) and
 // unreflected-config, each with a suppressed or negative twin. Line numbers
 // are pinned by fixtures/expected_findings.txt.
 #pragma once
@@ -13,8 +14,8 @@ class Scheduler;
 
 class Model {
  public:
-  std::vector<Packet> drain();         // violation: vector-return
-  std::vector<Packet> legacy_drain();  // lint: allow-vector-return
+  std::vector<Packet> drain();         // violation: packet-copy
+  std::vector<Packet> legacy_drain();  // lint: allow-packet-copy
   void tick();
 
  private:
