@@ -4,10 +4,11 @@
 // successive PRs can record the perf trajectory and catch regressions.
 //
 // An optional second path writes the same JSON again; that is how the
-// git-tracked baseline at the repo root is refreshed:
+// git-tracked trajectory log at the repo root is refreshed:
 //   build/bench/perf_core perf_core.json BENCH_perf_core.json
-// Commit the refreshed BENCH_perf_core.json when a PR intentionally moves
-// the numbers (machine-dependent, so treat deltas as trajectory, not truth).
+// The JSON names the machine (`cpu_model`, `nproc`): rates from different
+// machines are trajectory, not thresholds. tools/check.sh gates on a
+// same-machine A/B against the parent build instead.
 //
 // Workloads:
 //   scheduler  schedule/fire steady state at several pending-queue depths,
@@ -35,6 +36,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/flow_table.h"
@@ -74,6 +76,29 @@ std::uint64_t peak_rss_bytes() {
   }
   std::fclose(f);
   return static_cast<std::uint64_t>(kib) * 1024;
+}
+
+/// The "model name" line of /proc/cpuinfo ("unknown" elsewhere), with
+/// characters that would need JSON escaping dropped.
+std::string cpu_model() {
+  std::string model = "unknown";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[256];
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+      if (std::strncmp(line, "model name", 10) != 0) continue;
+      const char* c = std::strchr(line, ':');
+      if (c == nullptr) continue;
+      ++c;
+      while (*c == ' ' || *c == '\t') ++c;
+      model.clear();
+      for (; *c != '\0' && *c != '\n'; ++c) {
+        if (*c != '"' && *c != '\\') model.push_back(*c);
+      }
+      break;
+    }
+    std::fclose(f);
+  }
+  return model;
 }
 
 /// ceio::safe_rate keeps zero-op / zero-time runs from emitting NaN or inf.
@@ -382,6 +407,8 @@ void emit_json(std::FILE* f, const std::vector<Result>& sched,
                double fig10_governed_pkts_per_sec, std::uint64_t rss_bytes,
                double wall) {
   std::fprintf(f, "{\n");
+  std::fprintf(f, "  \"cpu_model\": \"%s\",\n", cpu_model().c_str());
+  std::fprintf(f, "  \"nproc\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(f, "  \"events_per_sec\": %.0f,\n", sched_events_per_sec);
   std::fprintf(f, "  \"llc_ops_per_sec\": %.0f,\n", llc_ops_per_sec);
   // Per-case LLC keys: the aggregate is a harmonic blend, and a regression

@@ -1,7 +1,11 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <memory>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "apps/echo.h"
 #include "apps/kv_store.h"
@@ -122,7 +126,63 @@ RunResult collect_result(Testbed& bed) {
   return out;
 }
 
-RunResult run_experiment(const ExperimentSpec& spec) {
+namespace {
+
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+using File = std::unique_ptr<std::FILE, FileCloser>;
+
+File open_for_write(const std::string& path) {
+  File f(std::fopen(path.c_str(), "w"));
+  if (!f) throw std::runtime_error("cannot write " + path);
+  return f;
+}
+
+/// Closes a finished output, reporting a failed write (a full disk, say).
+void close_written(File f, const std::string& path) {
+  const bool failed = std::ferror(f.get()) != 0;
+  if (std::fclose(f.release()) != 0 || failed) throw std::runtime_error("cannot write " + path);
+}
+
+/// Exports the recording and prints what it holds to stderr (stdout stays
+/// the caller's report).
+void write_trace(Testbed& bed, const Telemetry& tele, const std::string& prefix, File json,
+                 File csv) {
+  tele.write_trace_json(json.get());
+  close_written(std::move(json), prefix + ".trace.json");
+  tele.write_timeseries_csv(csv.get());
+  close_written(std::move(csv), prefix + ".timeseries.csv");
+  const TraceSink& sink = tele.trace();
+  const PathTracer& paths = tele.paths();
+  std::fprintf(stderr, "trace: %s.trace.json: %zu events (%llu emitted, %llu overwritten)\n",
+               prefix.c_str(), sink.size(),
+               static_cast<unsigned long long>(sink.total_emitted()),
+               static_cast<unsigned long long>(sink.overwritten()));
+  std::fprintf(stderr, "trace: %s.timeseries.csv: %zu samples x %zu gauges\n",
+               prefix.c_str(), tele.sampler().rows(), tele.sampler().columns().size());
+  std::fprintf(stderr, "trace: path records: %zu complete, %zu open, %llu dropped\n",
+               paths.records().size(), paths.open_count(),
+               static_cast<unsigned long long>(paths.dropped()));
+  if (const policy::DatapathGovernor* gov = bed.governor()) {
+    std::fprintf(stderr,
+                 "trace: governor: mode=%s tier=%s decisions=%lld credit_scale=%.2f "
+                 "(instants on the PolicyGovernor track)\n",
+                 to_string(gov->config().governor), to_string(gov->tier()),
+                 static_cast<long long>(gov->decision_changes()),
+                 gov->last_decision().credit_scale);
+  }
+#if !defined(CEIO_TELEMETRY) || !CEIO_TELEMETRY
+  std::fprintf(stderr, "trace: note: model trace hooks compiled out (build with "
+                       "-DCEIO_TELEMETRY=ON for spans, instants and packet paths)\n");
+#endif
+  std::fprintf(stderr, "trace: open %s.trace.json in https://ui.perfetto.dev or "
+                       "chrome://tracing\n", prefix.c_str());
+}
+
+}  // namespace
+
+RunResult run_experiment(const ExperimentSpec& spec, const std::string& trace_prefix) {
   std::vector<std::string> errors;
   if (!config::validate(spec, &errors)) {
     throw std::invalid_argument("invalid experiment spec: " + errors.front());
@@ -135,35 +195,60 @@ RunResult run_experiment(const ExperimentSpec& spec) {
         throw std::invalid_argument("unknown tenant app '" + role->app + "'");
       }
     }
-    if (spec.testbed.sim.domains > 1) return run_sharded_experiment(spec);
-    Testbed bed(spec.testbed);
-    tenant::TenantAssembly assembly(bed, spec.tenant, spec.controller);
-    for (const auto& e : assembly.roster()) {
-      const WorkloadSpec w = tenant_workload(e.cfg);
-      for (FlowId id = e.first_flow; id <= e.last_flow; ++id) {
-        bed.add_flow(flow_config(id, w), assembly.app_of_flow(id));
-      }
-    }
-    settle_and_measure(bed, spec.warmup, spec.measure);
-    RunResult out = collect_result(bed);
-    out.tenants = tenant_flow_reports(assembly.roster(), out.flows);
-    for (std::size_t t = 0; t < out.tenants.size(); ++t) {
-      assembly.fill_llc_fields(out.tenants[t], t);
-    }
-    out.way_repartitions = assembly.repartitions();
-    return out;
-  }
-  if (!is_known_app(spec.workload.app)) {
+  } else if (!is_known_app(spec.workload.app)) {
     throw std::invalid_argument("unknown app '" + spec.workload.app + "'");
   }
-  if (spec.testbed.sim.domains > 1) return run_sharded_experiment(spec);
-  Testbed bed(spec.testbed);
-  Application* app = make_app(bed, spec.workload.app);
-  for (FlowId id = 1; id <= static_cast<FlowId>(spec.workload.flows); ++id) {
-    bed.add_flow(flow_config(id, spec.workload), *app);
+  const bool traced = !trace_prefix.empty();
+  if (spec.testbed.sim.domains > 1) {
+    if (traced) throw std::invalid_argument("sharded runs (sim.domains > 1) cannot be traced");
+    return run_sharded_experiment(spec);
   }
-  settle_and_measure(bed, spec.warmup, spec.measure);
-  return collect_result(bed);
+  File json, csv;
+  if (traced) {
+    json = open_for_write(trace_prefix + ".trace.json");
+    csv = open_for_write(trace_prefix + ".timeseries.csv");
+  }
+
+  Testbed bed(spec.testbed);
+  std::optional<tenant::TenantAssembly> assembly;
+  if (spec.tenant.enabled) {
+    assembly.emplace(bed, spec.tenant, spec.controller);
+    for (const auto& e : assembly->roster()) {
+      const WorkloadSpec w = tenant_workload(e.cfg);
+      for (FlowId id = e.first_flow; id <= e.last_flow; ++id) {
+        bed.add_flow(flow_config(id, w), assembly->app_of_flow(id));
+      }
+    }
+  } else {
+    Application& app = *make_app(bed, spec.workload.app);
+    for (FlowId id = 1; id <= static_cast<FlowId>(spec.workload.flows); ++id) {
+      bed.add_flow(flow_config(id, spec.workload), app);
+    }
+  }
+
+  bed.run_for(spec.warmup);
+  bed.reset_measurement();
+  Telemetry* tele = nullptr;
+  if (traced) {
+    tele = &bed.enable_telemetry();
+    // The demux's own register_metrics is a no-op (per-tenant names would
+    // collide); the assembly registers the "tenant.<name>.*" subtrees that
+    // the trace exporter renders as per-tenant counter tracks.
+    if (assembly) assembly->register_metrics(tele->metrics());
+    tele->start_sampling();
+  }
+  bed.run_for(spec.measure);
+
+  RunResult out = collect_result(bed);
+  if (assembly) {
+    out.tenants = tenant_flow_reports(assembly->roster(), out.flows);
+    for (std::size_t t = 0; t < out.tenants.size(); ++t) {
+      assembly->fill_llc_fields(out.tenants[t], t);
+    }
+    out.way_repartitions = assembly->repartitions();
+  }
+  if (tele) write_trace(bed, *tele, trace_prefix, std::move(json), std::move(csv));
+  return out;
 }
 
 double aggregate_mpps(const std::vector<FlowReport>& reports, std::optional<FlowKind> kind) {

@@ -9,12 +9,14 @@
 // and `workload.flows=16` address one spec.
 //
 // run_experiment() reproduces the canonical run loop every CLI/bench used
-// to hand-roll: build the Testbed, create the application, add
-// `workload.flows` identical flows (ids 1..N), warm up, reset measurement,
-// run the measure window, and collect a RunResult. The construction order
-// (app first, then flows in id order) is part of the contract: the KV store
-// populates itself from the Testbed Rng, so reordering would change every
-// downstream random draw and break bit-reproducibility.
+// to hand-roll: build the Testbed, create the tenant assembly or the
+// application, add the flows in id order (`workload.flows` identical flows,
+// or each tenant's block), warm up, reset measurement, optionally switch
+// tracing on, run the measure window, and collect a RunResult. The
+// construction order (app first, then flows in id order) is part of the
+// contract: the KV store populates itself from the Testbed Rng, so
+// reordering would change every downstream random draw and break
+// bit-reproducibility.
 #pragma once
 
 #include <cstdint>
@@ -114,7 +116,16 @@ RunResult collect_result(Testbed& bed);
 
 /// The canonical single-phase experiment (see file comment for the exact
 /// sequence). The spec must pass config::validate and name a known app.
-RunResult run_experiment(const ExperimentSpec& spec);
+///
+/// A non-empty `trace_prefix` records the measure window: telemetry is
+/// switched on right after the warmup reset (plus the tenant assembly's
+/// `tenant.<name>.*` gauges), and `<prefix>.trace.json` (Chrome trace-event
+/// JSON for Perfetto) and `<prefix>.timeseries.csv` are written afterwards,
+/// with a summary on stderr. Tracing only observes: the RunResult is the
+/// untraced one. Both files are opened before the run, so an unwritable
+/// prefix throws std::runtime_error up front; a traced sharded spec
+/// (sim.domains > 1) throws std::invalid_argument.
+RunResult run_experiment(const ExperimentSpec& spec, const std::string& trace_prefix = {});
 
 /// Flow-count-weighted mean of per-flow p99/p999 (integer Nanos division,
 /// matching the historical bench arithmetic) plus total drops.

@@ -11,7 +11,8 @@ ShardCoordinator::ShardCoordinator(std::vector<ShardDomain*> domains,
       lookahead_(lookahead),
       shards_(std::clamp<int>(shards, 1, std::max<int>(1, static_cast<int>(domains_.size())))),
       start_(shards_),
-      end_(shards_) {
+      end_(shards_),
+      errors_(static_cast<std::size_t>(shards_)) {
   if (lookahead_ <= Nanos{0}) {
     throw std::invalid_argument(
         "ShardCoordinator: lookahead must be positive (a zero-delay "
@@ -38,7 +39,11 @@ void ShardCoordinator::worker_loop(int worker) {
     start_.arrive_and_wait();
     const Op op = pending_op_;
     if (op == Op::kStop) return;
-    apply(worker, op, pending_arg_);
+    try {
+      apply(worker, op, pending_arg_);
+    } catch (...) {
+      errors_[static_cast<std::size_t>(worker)] = std::current_exception();
+    }
     end_.arrive_and_wait();
   }
 }
@@ -70,8 +75,18 @@ void ShardCoordinator::parallel(Op op, Nanos arg) {
   pending_op_ = op;
   pending_arg_ = arg;
   start_.arrive_and_wait();
-  apply(0, op, arg);
+  try {
+    apply(0, op, arg);
+  } catch (...) {
+    errors_[0] = std::current_exception();
+  }
   end_.arrive_and_wait();
+  std::exception_ptr first;
+  for (std::exception_ptr& e : errors_) {
+    if (!first) first = e;
+    e = nullptr;
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 void ShardCoordinator::run_until(Nanos deadline) {

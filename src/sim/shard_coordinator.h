@@ -26,6 +26,7 @@
 
 #include <barrier>
 #include <cstdint>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -66,6 +67,10 @@ class ShardCoordinator {
   /// Advances every domain to `deadline` (absolute). Partial epochs are
   /// supported: stopping mid-epoch (to reset measurement, say) and resuming
   /// later executes the exact event sequence of an uninterrupted run.
+  /// An exception thrown by a domain on any worker is rethrown here, on the
+  /// calling thread, once the phase's barrier completes (the lowest-numbered
+  /// worker's wins); the domains are then mid-phase, so the run is over and
+  /// the coordinator is only fit to be destroyed.
   void run_until(Nanos deadline);
 
   Nanos now() const { return now_; }
@@ -78,7 +83,8 @@ class ShardCoordinator {
 
   /// Runs `op` over every domain, split across the workers (worker w takes
   /// domains w, w+shards, w+2*shards, ... in ascending order). The calling
-  /// thread acts as worker 0; returns after all workers finish.
+  /// thread acts as worker 0; returns after all workers finish, rethrowing
+  /// the first failed worker's exception.
   void parallel(Op op, Nanos arg);
   void apply(int worker, Op op, Nanos arg);
   void worker_loop(int worker);
@@ -100,6 +106,9 @@ class ShardCoordinator {
   std::barrier<> end_;
   Op pending_op_ = Op::kStop;
   Nanos pending_arg_{0};
+  /// What each worker's last apply threw; written by that worker only,
+  /// read by the calling thread after the end barrier.
+  std::vector<std::exception_ptr> errors_;
 };
 
 }  // namespace ceio

@@ -15,6 +15,7 @@
 #include "iopath/testbed.h"
 #include "sim/shard_coordinator.h"
 #include "sim/spsc_mailbox.h"
+#include "run_result_eq.h"
 
 namespace ceio::harness {
 namespace {
@@ -125,6 +126,51 @@ TEST(ShardCoordinator, ClampsShardsToDomainCount) {
   EXPECT_EQ(b.runs, 1);
 }
 
+/// Runs like CountingDomain until epoch `throw_at`, then fails mid-run.
+class ThrowingDomain : public CountingDomain {
+ public:
+  ThrowingDomain(const char* name, int throw_at) : name_(name), throw_at_(throw_at) {}
+  void run_phase(Nanos stop, bool at_epoch_end) override {
+    if (runs == throw_at_) throw std::runtime_error(name_);
+    CountingDomain::run_phase(stop, at_epoch_end);
+  }
+
+ private:
+  const char* name_;
+  int throw_at_;
+};
+
+TEST(ShardCoordinator, WorkerExceptionReachesCaller) {
+  // Domain b runs on worker thread 1; its exception must surface from
+  // run_until on this thread, and the coordinator must still join cleanly.
+  CountingDomain a;
+  ThrowingDomain b("b", 3);
+  std::vector<ShardDomain*> domains{&a, &b};
+  {
+    ShardCoordinator coord(domains, Nanos{100}, 2);
+    try {
+      coord.run_until(Nanos{1000});
+      FAIL() << "run_until swallowed the worker's exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "b");
+    }
+    EXPECT_EQ(b.runs, 3);
+    EXPECT_EQ(a.runs, 4);  // the failing phase still completed on worker 0
+  }
+}
+
+TEST(ShardCoordinator, LowestWorkerExceptionWins) {
+  ThrowingDomain a("a", 0), b("b", 0);
+  std::vector<ShardDomain*> domains{&a, &b};
+  ShardCoordinator coord(domains, Nanos{100}, 2);
+  try {
+    coord.run_until(Nanos{100});
+    FAIL() << "run_until swallowed the workers' exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "a");
+  }
+}
+
 // ---------- per-domain seeds ----------
 
 TEST(DeriveSeed, DomainStreamsAreIndependent) {
@@ -151,34 +197,6 @@ ExperimentSpec sharded_spec(SystemKind system, const std::string& app, int domai
   spec.warmup = micros(150);  // deliberately not an epoch multiple
   spec.measure = micros(400);
   return spec;
-}
-
-void expect_identical(const RunResult& a, const RunResult& b) {
-  ASSERT_EQ(a.flows.size(), b.flows.size());
-  for (std::size_t i = 0; i < a.flows.size(); ++i) {
-    const FlowReport& x = a.flows[i];
-    const FlowReport& y = b.flows[i];
-    EXPECT_EQ(x.id, y.id);
-    EXPECT_EQ(x.mpps, y.mpps) << "flow " << x.id;
-    EXPECT_EQ(x.gbps, y.gbps) << "flow " << x.id;
-    EXPECT_EQ(x.message_gbps, y.message_gbps) << "flow " << x.id;
-    EXPECT_EQ(x.p50, y.p50) << "flow " << x.id;
-    EXPECT_EQ(x.p99, y.p99) << "flow " << x.id;
-    EXPECT_EQ(x.p999, y.p999) << "flow " << x.id;
-    EXPECT_EQ(x.messages, y.messages) << "flow " << x.id;
-    EXPECT_EQ(x.drops, y.drops) << "flow " << x.id;
-  }
-  EXPECT_EQ(a.aggregate_mpps, b.aggregate_mpps);
-  EXPECT_EQ(a.aggregate_gbps, b.aggregate_gbps);
-  EXPECT_EQ(a.aggregate_message_gbps, b.aggregate_message_gbps);
-  EXPECT_EQ(a.llc_miss_rate, b.llc_miss_rate);
-  EXPECT_EQ(a.premature_evictions, b.premature_evictions);
-  EXPECT_EQ(a.dram_utilization, b.dram_utilization);
-  EXPECT_EQ(a.ceio_total_credits, b.ceio_total_credits);
-  EXPECT_EQ(a.ceio_to_slow, b.ceio_to_slow);
-  EXPECT_EQ(a.ceio_to_fast, b.ceio_to_fast);
-  EXPECT_EQ(a.ceio_cca_triggers, b.ceio_cca_triggers);
-  EXPECT_EQ(a.ceio_reclaims, b.ceio_reclaims);
 }
 
 TEST(ShardedExperiment, CeioBitwiseIdenticalAcrossShardCounts) {

@@ -1,15 +1,22 @@
 // Telemetry subsystem tests: trace-sink wraparound, JSON escaping, Chrome
 // trace-event schema (checked with an embedded mini JSON parser, including
-// against a full Testbed paper-scenario recording), metric-registry name
-// collisions, sampler interval math and the sampled path tracer.
+// against a full Testbed paper-scenario recording and a traced
+// run_experiment), metric-registry name collisions, sampler interval math
+// and the sampled path tracer.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "apps/kv_store.h"
+#include "harness/experiment.h"
+#include "harness/scenario_registry.h"
 #include "iopath/testbed.h"
 #include "telemetry/metrics.h"
 #include "telemetry/path_trace.h"
@@ -17,6 +24,7 @@
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 #include "telemetry/trace_export.h"
+#include "run_result_eq.h"
 
 namespace ceio {
 namespace {
@@ -490,6 +498,57 @@ TEST(TelemetryEndToEnd, PaperScenarioProducesValidTraceAndCsv) {
   const auto emitted = tele.trace().total_emitted();
   bed.run_for(millis(0.2));
   EXPECT_EQ(tele.trace().total_emitted(), emitted);
+}
+
+// ---- End-to-end: run_experiment with a trace prefix -----------------------
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+harness::ExperimentSpec short_multitenant_spec() {
+  harness::ExperimentSpec spec =
+      harness::ScenarioRegistry::instance().find("multitenant-short")->spec;
+  spec.warmup = micros(300);
+  spec.measure = micros(600);
+  return spec;
+}
+
+TEST(TelemetryEndToEnd, TracedTenantRunWritesValidFilesAndSameResult) {
+  const harness::ExperimentSpec spec = short_multitenant_spec();
+  const std::string prefix = ::testing::TempDir() + "traced_multitenant";
+  const harness::RunResult plain = harness::run_experiment(spec);
+  const harness::RunResult traced = harness::run_experiment(spec, prefix);
+  harness::expect_identical(plain, traced);
+  EXPECT_FALSE(traced.tenants.empty());
+
+  const std::string json = read_file(prefix + ".trace.json");
+  expect_valid_chrome_trace(json, 1);
+
+  // A header plus at least one sampled row, with the per-tenant gauges the
+  // exporter turns into per-tenant counter tracks.
+  const std::string csv = read_file(prefix + ".timeseries.csv");
+  EXPECT_EQ(csv.rfind("t_ns,", 0), 0u);
+  const std::string header = csv.substr(0, csv.find('\n'));
+  EXPECT_NE(header.find("tenant.lc.ddio_occupancy"), std::string::npos) << header;
+  std::size_t lines = 0;
+  for (const char c : csv) lines += c == '\n' ? 1 : 0;
+  EXPECT_GE(lines, 2u);
+
+  std::remove((prefix + ".trace.json").c_str());
+  std::remove((prefix + ".timeseries.csv").c_str());
+}
+
+TEST(TelemetryEndToEnd, UnsupportedTraceRequestsFailBeforeRunning) {
+  harness::ExperimentSpec spec = short_multitenant_spec();
+  EXPECT_THROW(harness::run_experiment(spec, "/nonexistent-dir/trace"), std::runtime_error);
+  spec.testbed.sim.domains = 2;
+  const std::string prefix = ::testing::TempDir() + "traced_sharded";
+  EXPECT_THROW(harness::run_experiment(spec, prefix), std::invalid_argument);
+  EXPECT_FALSE(std::ifstream(prefix + ".trace.json").good());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "harness/experiment.h"
 #include "host/cache.h"
+#include "run_result_eq.h"
 #include "tenant/tenant_bed.h"
 #include "tenant/way_partition.h"
 
@@ -358,27 +359,6 @@ TEST(TenantExperiment, ControllerIsInertAtZeroContention) {
   EXPECT_EQ(on.tenants[0].ddio_occupancy, off.tenants[0].ddio_occupancy);
 }
 
-void expect_identical(const RunResult& a, const RunResult& b) {
-  ASSERT_EQ(a.flows.size(), b.flows.size());
-  for (std::size_t i = 0; i < a.flows.size(); ++i) {
-    EXPECT_EQ(a.flows[i].mpps, b.flows[i].mpps) << "flow " << i;
-    EXPECT_EQ(a.flows[i].p50, b.flows[i].p50) << "flow " << i;
-    EXPECT_EQ(a.flows[i].p99, b.flows[i].p99) << "flow " << i;
-    EXPECT_EQ(a.flows[i].messages, b.flows[i].messages) << "flow " << i;
-    EXPECT_EQ(a.flows[i].drops, b.flows[i].drops) << "flow " << i;
-  }
-  ASSERT_EQ(a.tenants.size(), b.tenants.size());
-  for (std::size_t t = 0; t < a.tenants.size(); ++t) {
-    EXPECT_EQ(a.tenants[t].ddio_ways, b.tenants[t].ddio_ways) << "tenant " << t;
-    EXPECT_EQ(a.tenants[t].ddio_occupancy, b.tenants[t].ddio_occupancy) << "tenant " << t;
-    EXPECT_EQ(a.tenants[t].premature_evictions, b.tenants[t].premature_evictions)
-        << "tenant " << t;
-    EXPECT_EQ(a.tenants[t].budget_bypasses, b.tenants[t].budget_bypasses) << "tenant " << t;
-  }
-  EXPECT_EQ(a.way_repartitions, b.way_repartitions);
-  EXPECT_EQ(a.premature_evictions, b.premature_evictions);
-}
-
 TEST(TenantExperiment, ShardWorkersNeverChangeTenantResults) {
   // sim.shards is a worker-thread count: at fixed domains, shards=1 and
   // shards=4 must produce byte-identical reports — with the tenant
@@ -391,7 +371,7 @@ TEST(TenantExperiment, ShardWorkersNeverChangeTenantResults) {
   const RunResult serial = harness::run_experiment(spec);
   spec.testbed.sim.shards = 4;
   const RunResult parallel = harness::run_experiment(spec);
-  expect_identical(serial, parallel);
+  harness::expect_identical(serial, parallel);
 }
 
 }  // namespace

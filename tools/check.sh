@@ -10,8 +10,9 @@
 #                           available, the built-in scanner engine otherwise.
 #   2. release build + test cmake Release with CEIO_WERROR=ON (the
 #                           -Wall/-Wextra/-Wshadow net is a gate), ctest
-#   3. telemetry identity   same scenario, hooks compiled out vs compiled
-#                           in-but-disabled — outputs must be byte-identical
+#   3. telemetry identity   same scenarios, hooks compiled out vs compiled
+#                           in-but-disabled vs compiled in and recording
+#                           (--trace) — reports must be byte-identical
 #   4. migration safety     every golden in tools/golden/goldens.txt (fig04,
 #                           ceio_sim scenarios for each datapath, governor-off
 #                           and --shards 4 variants) diffed byte for byte;
@@ -27,16 +28,17 @@
 #                           (conservative-lookahead determinism, including
 #                           the datapath governor's decisions)
 #  10. clang-tidy           over src/ using the .clang-tidy profile
-#  11. perf gate            bench/perf_core from the release tree vs the
-#                           committed BENCH_perf_core.json baseline; fails on
-#                           a >25% drop in events_per_sec, llc_ops_per_sec,
-#                           the three per-case llc_* keys (hit-heavy /
-#                           miss-heavy / premature-evict — the aggregate can
-#                           hide a one-pattern regression),
-#                           flow_lookup_ops_per_sec, sharded_pkts_per_sec,
-#                           multitenant_pkts_per_sec or
-#                           fig10_governed_pkts_per_sec (one rerun absorbs
-#                           noise)
+#  11. perf gate            same-machine A/B: bench/perf_core from the
+#                           release tree vs perf_core built from the base
+#                           commit (HEAD, or HEAD~1 when the tree is clean)
+#                           in a temporary git worktree, 5 interleaved runs
+#                           each; fails when the median ratio drops >25% on
+#                           events_per_sec, llc_ops_per_sec, the three
+#                           per-case llc_* keys (hit-heavy / miss-heavy /
+#                           premature-evict — the aggregate can hide a
+#                           one-pattern regression), flow_lookup_ops_per_sec,
+#                           sharded_pkts_per_sec, multitenant_pkts_per_sec
+#                           or fig10_governed_pkts_per_sec
 #
 # Usage: tools/check.sh [--quick]
 #   --quick runs stages 1-2 only (lint + release tests).
@@ -105,27 +107,36 @@ if [[ "${QUICK}" -eq 1 ]]; then
   note "quick mode: skipping telemetry/audit/sanitizer/clang-tidy stages"
 else
   # -- 3: telemetry bit-identity ---------------------------------------------
-  # The telemetry hooks must never perturb simulation results. Run one paper
-  # scenario in the stage-2 tree (CEIO_TELEMETRY compiled out in Release) and
-  # again with the hooks compiled in but left disabled; any byte of
-  # difference in the report is a hook leaking into model behaviour.
-  note "telemetry bit-identity (compiled out vs compiled in, disabled)"
-  tele_scenario() {  # tele_scenario <tree>
-    "${CHECK_ROOT}/$1/tools/ceio_sim" --system=ceio --app=kv --flows=8 \
-      --rate-gbps=25 --ms=2
-  }
+  # The telemetry hooks must never perturb simulation results. Run paper
+  # scenarios in the stage-2 tree (CEIO_TELEMETRY compiled out in Release),
+  # then with the hooks compiled in but left disabled, then compiled in and
+  # recording (--trace); any byte of difference in the report is a hook
+  # leaking into model behaviour. The trace summary goes to stderr, so the
+  # traced report diffs directly.
+  note "telemetry bit-identity (compiled out vs compiled in: disabled, tracing)"
   tele_tree="${CHECK_ROOT}/telemetry"
   tele_status=1
   if cmake -S "${REPO_ROOT}" -B "${tele_tree}" -DCMAKE_BUILD_TYPE=Release \
       -DCEIO_TELEMETRY=ON >/dev/null &&
       cmake --build "${tele_tree}" -j "${JOBS}" --target ceio_sim_cli >/dev/null &&
       cmake --build "${CHECK_ROOT}/release" -j "${JOBS}" --target ceio_sim_cli >/dev/null; then
-    if diff <(tele_scenario release) <(tele_scenario telemetry); then
-      echo "outputs byte-identical"
-      tele_status=0
-    else
-      echo "telemetry-enabled build diverges from telemetry-free build"
-    fi
+    tele_identity() {  # tele_identity <ceio_sim args...>
+      local reference="${tele_tree}/reference.txt"
+      "${CHECK_ROOT}/release/tools/ceio_sim" "$@" >"${reference}" || return 1
+      if ! diff "${reference}" <("${tele_tree}/tools/ceio_sim" "$@"); then
+        echo "hooks compiled in but disabled diverge: $*"
+        return 1
+      fi
+      if ! diff "${reference}" <("${tele_tree}/tools/ceio_sim" "$@" \
+          --trace="${tele_tree}/identity" 2>"${tele_tree}/identity.log"); then
+        echo "hooks compiled in and tracing diverge: $*"
+        return 1
+      fi
+    }
+    tele_status=0
+    tele_identity --system=ceio --app=kv --flows=8 --rate-gbps=25 --ms=2 || tele_status=1
+    tele_identity --scenario multitenant-short || tele_status=1
+    [[ "${tele_status}" -eq 0 ]] && echo "outputs byte-identical (disabled and tracing)"
   fi
   stage_result telemetry-identity "${tele_status}"
 
@@ -239,44 +250,64 @@ else
   fi
 
   # -- 11: perf gate ----------------------------------------------------------
-  # Wall-clock regression guard over the event core. Compares the release
-  # tree's perf_core headline rates against the committed baseline; a >25%
-  # drop on either metric fails. Perf is noisy, so a failing first run gets
-  # exactly one rerun before the verdict. After an intentional perf change,
-  # refresh the baseline:
-  #   build/bench/perf_core perf_core.json BENCH_perf_core.json
-  note "perf gate (perf_core vs BENCH_perf_core.json, >25% regression fails)"
+  # Wall-clock regression guard over the event core, as a same-machine A/B:
+  # perf_core from the release tree against perf_core built from the base
+  # commit in a temporary git worktree. The base is HEAD while the tree has
+  # uncommitted changes, HEAD~1 once they are committed. Five interleaved
+  # runs of each absorb drift and noise; each key is gated on the median of
+  # the per-pair ratios (>25% drop fails) and reported with both sides'
+  # min..max. BENCH_perf_core.json is a trajectory log, not a threshold.
+  note "perf gate (perf_core, same-machine A/B vs the base commit, median of 5)"
   if command -v python3 >/dev/null 2>&1; then
     perf_status=1
-    if cmake --build "${CHECK_ROOT}/release" -j "${JOBS}" --target perf_core >/dev/null; then
-      perf_compare() {  # perf_compare <fresh.json>
-        python3 - "${REPO_ROOT}/BENCH_perf_core.json" "$1" <<'PYEOF'
-import json, sys
-base = json.load(open(sys.argv[1]))
-fresh = json.load(open(sys.argv[2]))
+    base_rev=HEAD
+    if git -C "${REPO_ROOT}" diff --quiet HEAD 2>/dev/null; then base_rev=HEAD~1; fi
+    perf_runs="${CHECK_ROOT}/perf-ab"
+    base_src="$(mktemp -d)"
+    rm -rf "${perf_runs}"
+    mkdir -p "${perf_runs}"
+    if git -C "${REPO_ROOT}" worktree add --detach "${base_src}" "${base_rev}" >/dev/null 2>&1 &&
+        cmake -S "${base_src}" -B "${perf_runs}/base-build" -DCMAKE_BUILD_TYPE=Release \
+          >/dev/null &&
+        cmake --build "${perf_runs}/base-build" -j "${JOBS}" --target perf_core >/dev/null &&
+        cmake --build "${CHECK_ROOT}/release" -j "${JOBS}" --target perf_core >/dev/null; then
+      echo "base: $(git -C "${REPO_ROOT}" rev-parse --short "${base_rev}") (${base_rev})"
+      perf_ok=1
+      for run in 0 1 2 3 4; do
+        (cd "${perf_runs}" &&
+          "${perf_runs}/base-build/bench/perf_core" "base${run}.json" >/dev/null &&
+          "${CHECK_ROOT}/release/bench/perf_core" "fresh${run}.json" >/dev/null) ||
+          perf_ok=0
+      done
+      if [[ "${perf_ok}" -eq 1 ]]; then
+        python3 - "${perf_runs}" 5 <<'PYEOF' && perf_status=0
+import json, statistics, sys
+runs_dir, n = sys.argv[1], int(sys.argv[2])
+base = [json.load(open(f"{runs_dir}/base{i}.json")) for i in range(n)]
+fresh = [json.load(open(f"{runs_dir}/fresh{i}.json")) for i in range(n)]
 ok = True
 for key in ("events_per_sec", "llc_ops_per_sec", "llc_hit_heavy_ops_per_sec",
             "llc_miss_heavy_ops_per_sec", "llc_premature_evict_ops_per_sec",
             "flow_lookup_ops_per_sec", "sharded_pkts_per_sec",
             "multitenant_pkts_per_sec", "fig10_governed_pkts_per_sec"):
-    b, f = float(base[key]), float(fresh[key])
-    ratio = f / b if b else 1.0
-    print(f"  {key}: baseline {b:.0f}  fresh {f:.0f}  ({ratio:.2f}x)")
-    if ratio < 0.75:
+    if key not in base[0]:
+        print(f"  {key}: not in the base build; skipped")
+        continue
+    b = [float(r[key]) for r in base]
+    f = [float(r[key]) for r in fresh]
+    ratios = [x / y if y else 1.0 for x, y in zip(f, b)]
+    median = statistics.median(ratios)
+    print(f"  {key}: base {min(b):.0f}..{max(b):.0f}  fresh {min(f):.0f}..{max(f):.0f}  "
+          f"ratio min {min(ratios):.2f} median {median:.2f} max {max(ratios):.2f}")
+    if median < 0.75:
         ok = False
 sys.exit(0 if ok else 1)
 PYEOF
-      }
-      perf_json="${CHECK_ROOT}/release/perf_core_gate.json"
-      for attempt in 1 2; do
-        "${CHECK_ROOT}/release/bench/perf_core" "${perf_json}" >/dev/null || break
-        if perf_compare "${perf_json}"; then
-          perf_status=0
-          break
-        fi
-        [[ "${attempt}" -eq 1 ]] && echo "regression on first run; rerunning once to rule out noise"
-      done
+      fi
     fi
+    git -C "${REPO_ROOT}" worktree remove --force "${base_src}" >/dev/null 2>&1
+    rm -rf "${base_src}"
+    git -C "${REPO_ROOT}" worktree prune
     stage_result perf-gate "${perf_status}"
   else
     echo "python3 not found; skipping"
