@@ -1,10 +1,11 @@
 // Minimal growable FIFO ring so steady-state push/pop never allocates.
 //
 // The hot pipeline keeps several small FIFOs (coalesced-stream backlogs, a
-// core's work queue, the DMA read queue, a source's retransmission queue)
-// whose steady-state depth is a handful of items. A std::deque releases its
-// blocks as the queue drains, so a push/pop cycle that straddles a block
-// boundary re-pays the allocator every few items. This ring's capacity is a
+// core's work queue, the DMA read queue, a source's retransmission queue,
+// the entries of every bounded RX ring via RingBuffer) whose steady-state
+// depth is a handful of items. A std::deque releases its blocks as the
+// queue drains, so a push/pop cycle that straddles a block boundary
+// re-pays the allocator every few items. This ring's capacity is a
 // power of two and only ever grows: once warmed to the high-water depth,
 // every push and pop is a move into a retained slot.
 #pragma once

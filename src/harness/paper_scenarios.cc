@@ -135,8 +135,12 @@ void register_paper_scenarios(ScenarioRegistry& registry) {
   // interarrivals matter at this scale: the mean packet gap (3.2 ms)
   // exceeds the measure window, so paced flows would all fire at t=0 and
   // then fall silent — exponential gaps spread the load across the run the
-  // way a million independent users would. Tiny fast rings and a bounded
-  // poll scan keep per-flow state and poll cost sane. Run it with
+  // way a million independent users would. The 16-entry fast rings model
+  // the shallow per-flow descriptor rings a NIC serving a million queues
+  // can provision: a flow may hold at most 16 landed packets before further
+  // fast-path arrivals drop. (Ring storage grows with occupancy, so the
+  // depth is a model choice, not a memory one.) The bounded poll scan keeps
+  // the controller's per-poll cost sane. Run it with
   // `ceio_sim --scenario flowscale-1m --shards N`.
   {
     ExperimentSpec s = base_spec(SystemKind::kCeio);

@@ -5,13 +5,15 @@
 // One ring per flow in the legacy/HostCC/CEIO designs; one shared ring for
 // all flows in ShRing.
 //
-// Slots hold 4-byte PacketRef handles, not Packets: a 4096-entry ring
-// costs 16 KiB instead of ~320 KiB, which is what lets flow-scale runs keep
-// a ring per flow without the descriptor arrays dominating resident memory.
-// The packets stay parked in the event domain's single PacketPool: post()
-// takes a handle the caller already owns, poll() hands it back, and no
-// packet is copied on the way through. A ring destroyed while still holding
-// handles (its flow was unregistered) releases them.
+// Slots hold 4-byte PacketRef handles, not Packets, and the ring allocates
+// slots for the handles it has held, not for its capacity (RingBuffer): a
+// 4096-entry ring whose flow never has more than three packets landed owns
+// 16 bytes of slots. The capacity stays the drop bound, so flow-scale runs
+// keep a deep ring per flow without the descriptor arrays dominating
+// resident memory. The packets stay parked in the event domain's single
+// PacketPool: post() takes a handle the caller already owns, poll() hands
+// it back, and no packet is copied on the way through. A ring destroyed
+// while still holding handles (its flow was unregistered) releases them.
 #pragma once
 
 #include <cstdint>
@@ -38,12 +40,9 @@ class RxRing {
   /// Posts a received packet. Returns false (drop) when the ring is full;
   /// the handle then stays with the caller.
   bool post(PacketRef ref) {
-    if (ring_.full()) {
-      ++drops_;
-      return false;
-    }
-    ring_.push(ref);
-    return true;
+    if (ring_.push(ref)) return true;
+    ++drops_;
+    return false;
   }
 
   /// The oldest posted handle, or a null one when the ring is empty.

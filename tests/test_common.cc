@@ -267,16 +267,11 @@ TEST(RingBuffer, MonotonicHeadTail) {
   EXPECT_EQ(rb.size(), 2u);
 }
 
-TEST(RingBuffer, PeekDoesNotConsume) {
-  RingBuffer<int> rb(4);
-  rb.push(10);
-  rb.push(20);
-  EXPECT_EQ(rb.peek(0), 10);
-  EXPECT_EQ(rb.peek(1), 20);
-  EXPECT_EQ(rb.size(), 2u);
-}
-
 // Property: a ring of any capacity preserves FIFO under interleaved ops.
+// Alternating fill-biased and drain-biased phases drive the ring to its
+// capacity and back several times, so the entry storage grows while the
+// oldest entry sits mid-buffer and the drop bound is hit at exactly
+// `capacity` even when that is not a power of two (7, 1000).
 class RingBufferProperty : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(RingBufferProperty, FifoUnderRandomOps) {
@@ -286,26 +281,43 @@ TEST_P(RingBufferProperty, FifoUnderRandomOps) {
   std::vector<int> reference;
   int next = 0;
   std::size_t ref_head = 0;
-  for (int step = 0; step < 10'000; ++step) {
-    if (rng.chance(0.55)) {
+  std::uint64_t pushed = 0;
+  std::uint64_t popped = 0;
+  std::size_t times_full = 0;
+  const std::size_t phase = 2 * cap + 16;
+  for (std::size_t step = 0; step < 6 * phase; ++step) {
+    const bool filling = (step / phase) % 2 == 0;
+    if (rng.chance(filling ? 0.9 : 0.3)) {
       const bool ok = rb.push(next);
       EXPECT_EQ(ok, reference.size() - ref_head < cap);
-      if (ok) reference.push_back(next);
+      if (ok) {
+        reference.push_back(next);
+        ++pushed;
+      }
       ++next;
     } else {
       const auto v = rb.pop();
       if (ref_head < reference.size()) {
         ASSERT_TRUE(v.has_value());
         EXPECT_EQ(*v, reference[ref_head++]);
+        ++popped;
       } else {
         EXPECT_FALSE(v.has_value());
       }
     }
+    const std::size_t held = reference.size() - ref_head;
+    ASSERT_EQ(rb.size(), held);
+    ASSERT_EQ(rb.tail(), pushed);
+    ASSERT_EQ(rb.head(), popped);
+    ASSERT_EQ(rb.full(), held == cap);
+    ASSERT_EQ(rb.empty(), held == 0);
+    if (rb.full()) ++times_full;
   }
+  EXPECT_GT(times_full, 0u) << "the ring never reached its capacity";
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, RingBufferProperty,
-                         ::testing::Values(1, 2, 7, 64, 1024));
+                         ::testing::Values(1, 2, 7, 64, 1024, 1000, 4096));
 
 // ---------- safe_rate ----------
 

@@ -197,6 +197,31 @@ TEST(RxRing, DestructionReleasesPostedHandles) {
   EXPECT_EQ(pool.live(), 0u);
 }
 
+// A ring whose slot storage grew several times while its oldest handle sat
+// mid-buffer still hands them back in order, and releases the rest when
+// destroyed.
+TEST(RxRing, DestructionAfterGrowthReleasesEveryHandle) {
+  PacketPool pool;
+  {
+    RxRing ring(1000, pool, "test");
+    FlowId next_in = 0;
+    FlowId next_out = 0;
+    for (int round = 0; round < 300; ++round) {
+      ASSERT_TRUE(ring.post(pool.make(make_packet(next_in++))));
+      ASSERT_TRUE(ring.post(pool.make(make_packet(next_in++))));
+      const PacketRef p = ring.poll();
+      ASSERT_TRUE(p);
+      EXPECT_EQ(pool.get(p)->flow, next_out++);
+      pool.release(p);
+    }
+    EXPECT_EQ(ring.size(), 300u);
+    EXPECT_EQ(ring.head(), 300u);
+    EXPECT_EQ(ring.tail(), 600u);
+    EXPECT_EQ(pool.live(), 300u);
+  }
+  EXPECT_EQ(pool.live(), 0u);
+}
+
 // ---------- Nic pipeline ----------
 
 struct CollectSink : PacketSink {

@@ -23,6 +23,8 @@
 #include "common/units.h"
 #include "harness/experiment.h"
 #include "iopath/testbed.h"
+#include "nic/packet.h"
+#include "nic/rx_ring.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -137,8 +139,10 @@ TEST(ZeroAlloc, PerFlowHeapFootprintIsPinned) {
   GTEST_SKIP() << CEIO_ZERO_ALLOC_MEANINGLESS;
 #endif
   constexpr FlowId kFlows = 4096;
-  // ~16 KiB of it is the 4096-entry fast RX ring of 4-byte handles.
-  constexpr std::int64_t kMaxBytesPerFlow = 18'647;
+  // The 4096-entry fast RX ring owns no slots until packets land (see
+  // RxRingSlotStorageFollowsOccupancy), so what is left is the flow slot,
+  // elastic buffer, credit entry, core and source.
+  constexpr std::int64_t kMaxBytesPerFlow = 2'279;
   TestbedConfig tc;
   tc.system = SystemKind::kCeio;
   tc.seed = 7;
@@ -154,6 +158,32 @@ TEST(ZeroAlloc, PerFlowHeapFootprintIsPinned) {
   }
   const std::int64_t per_flow = (g_live_bytes.load() - before) / kFlows;
   EXPECT_LE(per_flow, kMaxBytesPerFlow) << "add_flow grew to " << per_flow << " bytes per flow";
+}
+
+// A deep RX ring allocates slots for the handles it has held, not for its
+// capacity: a 4096-entry ring that never held more than three 4-byte
+// handles owns at most 64 bytes of slot storage (a capacity-sized array
+// would be 16 KiB).
+TEST(ZeroAlloc, RxRingSlotStorageFollowsOccupancy) {
+#ifdef CEIO_ZERO_ALLOC_MEANINGLESS
+  GTEST_SKIP() << CEIO_ZERO_ALLOC_MEANINGLESS;
+#endif
+  PacketPool pool;
+  PacketRef refs[3];
+  for (PacketRef& ref : refs) ref = pool.make(Packet{});
+  const std::int64_t before = g_live_bytes.load();
+  {
+    RxRing ring(4096, pool, "rx");
+    for (int round = 0; round < 100; ++round) {
+      for (PacketRef ref : refs) ASSERT_TRUE(ring.post(ref));
+      for (PacketRef& ref : refs) ref = ring.poll();
+    }
+    EXPECT_EQ(ring.capacity(), 4096u);
+    EXPECT_LE(g_live_bytes.load() - before, 64)
+        << "a ring that held 3 handles owns " << (g_live_bytes.load() - before) << " bytes";
+  }
+  EXPECT_EQ(g_live_bytes.load(), before);
+  for (PacketRef ref : refs) pool.release(ref);
 }
 
 }  // namespace
