@@ -25,6 +25,9 @@
 //   testbed    one canonical end-to-end CEIO experiment (16 KV flows), so
 //              the full NIC->PCIe->LLC->CPU pipeline has a wall-clock
 //              packets/sec trajectory, not just the two primitives.
+//   substrate  per-call cost of the other hot substrate operations (RMT
+//              steer, credit consume/release, Algorithm 1 admission, SW-ring
+//              bookkeeping, Zipf draws), one `<case>_ns_per_op` key each.
 //
 // `peak_rss_bytes` (VmHWM from /proc/self/status, sampled after the testbed
 // cases) tracks the process footprint of the end-to-end runs.
@@ -39,18 +42,23 @@
 #include <thread>
 #include <vector>
 
+#include "ceio/credit_controller.h"
+#include "ceio/sw_ring.h"
 #include "common/flow_table.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/units.h"
 #include "harness/experiment.h"
 #include "host/cache.h"
+#include "nic/rmt_engine.h"
 #include "sim/event_scheduler.h"
 
 namespace {
 
 using ceio::BufferId;
+using ceio::CreditController;
 using ceio::EventScheduler;
+using ceio::FlowId;
 using ceio::LlcConfig;
 using ceio::LlcModel;
 using ceio::Nanos;
@@ -112,6 +120,7 @@ struct Result {
   double seconds = 0.0;
   std::uint64_t peak_depth = 0;
   double ops_per_sec() const { return rate(ops, seconds); }
+  double ns_per_op() const { return ops == 0 ? 0.0 : seconds * 1e9 / static_cast<double>(ops); }
 };
 
 /// Self-perpetuating event body: fires, then re-arms itself at a jittered
@@ -349,6 +358,90 @@ Result bench_flow_lookup(std::size_t flows, bool dense, std::uint64_t total_ops)
   return r;
 }
 
+/// Substrate results land here so the timed calls cannot be optimised away.
+volatile std::uint64_t g_sink = 0;
+
+/// Times `iters` back-to-back calls of `op` (the substrate cases).
+template <typename Op>
+Result bench_calls(const char* name, std::uint64_t iters, Op op) {
+  std::uint64_t sink = 0;
+  const double t0 = now_seconds();
+  for (std::uint64_t i = 0; i < iters; ++i) sink += op();
+  const double t1 = now_seconds();
+  g_sink = g_sink + sink;
+  return Result{name, iters, t1 - t0, 0};
+}
+
+/// RMT steering lookup over 128 installed rules, round-robin by flow.
+Result bench_rmt_steer(std::uint64_t iters) {
+  EventScheduler sched;
+  ceio::RmtEngine rmt(sched, ceio::RmtConfig{Nanos{0}, 65'536, ceio::SteerAction::kToHost});
+  for (FlowId f = 1; f <= 128; ++f) rmt.install_rule(f, ceio::SteerAction::kToHost);
+  sched.run_all();
+  ceio::Packet pkt;
+  pkt.size = ceio::Bytes{512};
+  FlowId f = 1;
+  return bench_calls("rmt_steer", iters, [&] {
+    pkt.flow = f;
+    f = f % 128 + 1;
+    return static_cast<std::uint64_t>(rmt.steer(pkt));
+  });
+}
+
+/// One credit consumed and released on an 8-flow controller: the per-packet
+/// credit ledger of the CEIO fast path.
+Result bench_credit_consume_release(std::uint64_t iters) {
+  CreditController credits(3000);
+  credits.add_flows({1, 2, 3, 4, 5, 6, 7, 8});
+  return bench_calls("credit_consume_release", iters, [&] {
+    credits.consume(3, 1);
+    credits.release(3, 1);
+    return static_cast<std::uint64_t>(credits.credits(3));
+  });
+}
+
+/// Algorithm 1 admitting two newcomers next to `flows` incumbents. Only the
+/// add_flows call is timed: building the incumbents and destroying the
+/// controller would swamp a sub-microsecond admission.
+Result bench_credit_algorithm1(FlowId flows, std::uint64_t reps) {
+  std::vector<FlowId> incumbents;
+  for (FlowId f = 1; f <= flows; ++f) incumbents.push_back(f);
+  const std::vector<FlowId> arrivals{flows + 1, flows + 2};
+  double seconds = 0.0;
+  std::uint64_t sink = 0;
+  for (std::uint64_t i = 0; i < reps; ++i) {
+    CreditController credits(3000);
+    credits.add_flows(incumbents);
+    const double t0 = now_seconds();
+    credits.add_flows(arrivals);
+    seconds += now_seconds() - t0;
+    sink += static_cast<std::uint64_t>(credits.fair_share());
+  }
+  g_sink = g_sink + sink;
+  return Result{"credit_algorithm1_flows" + std::to_string(flows), reps, seconds, 0};
+}
+
+/// SW-ring run-length bookkeeping: one steer note and one consume, with the
+/// path alternating so every note opens a new segment.
+Result bench_sw_ring(std::uint64_t iters) {
+  ceio::SwRing sw;
+  bool fast = true;
+  return bench_calls("sw_ring_note_consume", iters, [&] {
+    sw.note_steered(fast);
+    fast = !fast;
+    sw.consumed();
+    return sw.pending();
+  });
+}
+
+/// One Zipf(0.99) draw over 1000 keys, the KV app's key chooser.
+Result bench_rng_zipf(std::uint64_t iters) {
+  Rng rng(7);
+  return bench_calls("rng_zipf", iters, [&] {
+    return static_cast<std::uint64_t>(rng.zipf(1000, 0.99));
+  });
+}
+
 LlcConfig default_llc() { return LlcConfig{}; }  // 12 MiB / 12-way / 2 DDIO ways
 
 /// Hit-heavy: working set well inside capacity, uniform re-reads.
@@ -400,7 +493,7 @@ Result bench_llc_premature(std::uint64_t total_ops) {
 
 void emit_json(std::FILE* f, const std::vector<Result>& sched,
                const std::vector<Result>& llc, const std::vector<Result>& flow_lookup,
-               const std::vector<Result>& testbed,
+               const std::vector<Result>& testbed, const std::vector<Result>& substrate,
                double sched_events_per_sec, double llc_ops_per_sec,
                double flow_lookup_ops_per_sec, double sharded_pkts_per_sec,
                double sharded_speedup, double multitenant_pkts_per_sec,
@@ -418,6 +511,9 @@ void emit_json(std::FILE* f, const std::vector<Result>& sched,
     std::fprintf(f, "  \"%s_ops_per_sec\": %.0f,\n", r.name.c_str(), r.ops_per_sec());
   }
   std::fprintf(f, "  \"flow_lookup_ops_per_sec\": %.0f,\n", flow_lookup_ops_per_sec);
+  for (const auto& r : substrate) {
+    std::fprintf(f, "  \"%s_ns_per_op\": %.1f,\n", r.name.c_str(), r.ns_per_op());
+  }
   std::fprintf(f, "  \"peak_rss_bytes\": %llu,\n",
                static_cast<unsigned long long>(rss_bytes));
   double testbed_pkts = 0.0, testbed_secs = 0.0;
@@ -505,6 +601,15 @@ int main(int argc, char** argv) {
     flow_lookup.push_back(bench_flow_lookup(flows, /*dense=*/false, 8'000'000));
   }
 
+  std::vector<Result> substrate;
+  substrate.push_back(bench_rmt_steer(4'000'000));
+  substrate.push_back(bench_credit_consume_release(4'000'000));
+  for (const FlowId flows : {8, 64, 512}) {
+    substrate.push_back(bench_credit_algorithm1(flows, 2'000));
+  }
+  substrate.push_back(bench_sw_ring(4'000'000));
+  substrate.push_back(bench_rng_zipf(4'000'000));
+
   std::vector<Result> testbed;
   testbed.push_back(bench_testbed_pipeline());
   testbed.push_back(bench_sharded_pipeline(1));
@@ -529,14 +634,14 @@ int main(int argc, char** argv) {
   for (const auto& r : flow_lookup) { fl_ops += r.ops; fl_secs += r.seconds; }
   const double wall = now_seconds() - wall0;
 
-  emit_json(stdout, sched, llc, flow_lookup, testbed, rate(sched_ops, sched_secs),
+  emit_json(stdout, sched, llc, flow_lookup, testbed, substrate, rate(sched_ops, sched_secs),
             rate(llc_ops, llc_secs), rate(fl_ops, fl_secs), sharded_pps,
             sharded_speedup, multitenant_pps, fig10_governed_pps, rss, wall);
   const char* paths[] = {out_path, argc > 2 ? argv[2] : nullptr};
   for (const char* path : paths) {
     if (path == nullptr) continue;
     if (std::FILE* f = std::fopen(path, "w")) {
-      emit_json(f, sched, llc, flow_lookup, testbed, rate(sched_ops, sched_secs),
+      emit_json(f, sched, llc, flow_lookup, testbed, substrate, rate(sched_ops, sched_secs),
                 rate(llc_ops, llc_secs), rate(fl_ops, fl_secs), sharded_pps,
                 sharded_speedup, multitenant_pps, fig10_governed_pps, rss, wall);
       std::fclose(f);

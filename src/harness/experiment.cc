@@ -7,11 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "apps/echo.h"
-#include "apps/kv_store.h"
-#include "apps/linefs.h"
-#include "apps/raw_rdma.h"
-#include "apps/vxlan.h"
 #include "config/config_ops.h"
 #include "harness/sharded_testbed.h"
 
@@ -19,20 +14,7 @@ namespace ceio::harness {
 
 bool is_bypass_app(const std::string& app) { return app == "linefs" || app == "rdma"; }
 
-bool is_known_app(const std::string& app) {
-  return app == "kv" || app == "echo" || app == "vxlan" || app == "linefs" ||
-         app == "rdma" || app == "thrasher";
-}
-
-Application* make_app(Testbed& bed, const std::string& app) {
-  if (app == "kv") return &bed.make_kv_store();
-  if (app == "echo") return &bed.make_echo();
-  if (app == "vxlan") return &bed.make_vxlan();
-  if (app == "linefs") return &bed.make_linefs();
-  if (app == "rdma") return &bed.make_raw_rdma();
-  if (app == "thrasher") return &bed.make_thrasher();
-  return nullptr;
-}
+Application* make_app(Testbed& bed, const std::string& app) { return bed.make_app(app); }
 
 FlowConfig flow_config(FlowId id, const WorkloadSpec& w) {
   const bool bypass = is_bypass_app(w.app);
@@ -108,9 +90,9 @@ void settle_and_measure(Testbed& bed, Nanos warmup, Nanos measure) {
 RunResult collect_result(Testbed& bed) {
   RunResult out;
   out.flows = bed.all_reports();
-  out.aggregate_mpps = bed.aggregate_mpps();
-  out.aggregate_gbps = bed.aggregate_gbps();
-  out.aggregate_message_gbps = bed.aggregate_message_gbps();
+  out.aggregate_mpps = aggregate_mpps(out.flows);
+  out.aggregate_gbps = aggregate_gbps(out.flows);
+  out.aggregate_message_gbps = aggregate_message_gbps(out.flows);
   out.llc_miss_rate = bed.llc_miss_rate();
   out.premature_evictions = bed.llc().stats().premature_evictions;
   out.dram_utilization = bed.dram().utilization(bed.now());
@@ -191,11 +173,11 @@ RunResult run_experiment(const ExperimentSpec& spec, const std::string& trace_pr
     const tenant::TenantConfig* roles[] = {&spec.tenant.lc, &spec.tenant.bw,
                                            &spec.tenant.ant};
     for (const auto* role : roles) {
-      if (role->enabled && !is_known_app(role->app)) {
+      if (role->enabled && !Testbed::is_known_app(role->app)) {
         throw std::invalid_argument("unknown tenant app '" + role->app + "'");
       }
     }
-  } else if (!is_known_app(spec.workload.app)) {
+  } else if (!Testbed::is_known_app(spec.workload.app)) {
     throw std::invalid_argument("unknown app '" + spec.workload.app + "'");
   }
   const bool traced = !trace_prefix.empty();

@@ -85,11 +85,8 @@ struct RunResult {
 /// True for the CPU-bypass applications (linefs, rdma).
 bool is_bypass_app(const std::string& app);
 
-/// True when `app` names a known application.
-bool is_known_app(const std::string& app);
-
-/// Creates the named application on `bed` (kv | echo | vxlan | linefs |
-/// rdma). Returns nullptr for an unknown name.
+/// Creates the named application on `bed` (Testbed::make_app). Returns
+/// nullptr for an unknown name.
 Application* make_app(Testbed& bed, const std::string& app);
 
 /// The FlowConfig the canonical runner gives flow `id` under `w` — exposed

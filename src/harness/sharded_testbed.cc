@@ -412,7 +412,7 @@ ShardedTestbed::ShardedTestbed(const ExperimentSpec& spec) : spec_(spec) {
   if (P < 2) {
     throw std::invalid_argument("ShardedTestbed requires sim.domains >= 2");
   }
-  if (!spec.tenant.enabled && !is_known_app(spec.workload.app)) {
+  if (!spec.tenant.enabled && !Testbed::is_known_app(spec.workload.app)) {
     throw std::invalid_argument("unknown app '" + spec.workload.app + "'");
   }
   slices_.reserve(static_cast<std::size_t>(P));

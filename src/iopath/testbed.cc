@@ -194,6 +194,38 @@ ThrasherApp& Testbed::make_thrasher() {
   return static_cast<ThrasherApp&>(*apps_.back());
 }
 
+namespace {
+
+struct AppFactory {
+  const char* name;
+  Application& (*make)(Testbed&);
+};
+
+constexpr AppFactory kAppFactories[] = {
+    {"kv", [](Testbed& bed) -> Application& { return bed.make_kv_store(); }},
+    {"echo", [](Testbed& bed) -> Application& { return bed.make_echo(); }},
+    {"vxlan", [](Testbed& bed) -> Application& { return bed.make_vxlan(); }},
+    {"linefs", [](Testbed& bed) -> Application& { return bed.make_linefs(); }},
+    {"rdma", [](Testbed& bed) -> Application& { return bed.make_raw_rdma(); }},
+    {"thrasher", [](Testbed& bed) -> Application& { return bed.make_thrasher(); }},
+};
+
+const AppFactory* find_app(const std::string& name) {
+  for (const AppFactory& f : kAppFactories) {
+    if (name == f.name) return &f;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+Application* Testbed::make_app(const std::string& name) {
+  const AppFactory* f = find_app(name);
+  return f == nullptr ? nullptr : &f->make(*this);
+}
+
+bool Testbed::is_known_app(const std::string& name) { return find_app(name) != nullptr; }
+
 void Testbed::install_datapath(std::unique_ptr<IoDatapath> datapath) {
   if (!flows_.empty() || !retired_flows_.empty()) {
     throw std::logic_error("install_datapath requires a testbed with no flows");

@@ -138,6 +138,12 @@ class Testbed {
   class RawRdmaApp& make_raw_rdma();
   class VxlanApp& make_vxlan();
   class ThrasherApp& make_thrasher();
+  /// Creates the application named `name` (kv | echo | vxlan | linefs |
+  /// rdma | thrasher) through the make_* above; nullptr for an unknown
+  /// name. The one name table every name-driven caller builds apps from.
+  Application* make_app(const std::string& name);
+  /// True when make_app knows `name`.
+  static bool is_known_app(const std::string& name);
 
   // ---- Datapath replacement (multi-tenant assemblies) ----
   /// Swaps in a replacement datapath (e.g. a TenantDemux fronting per-tenant

@@ -4,12 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "apps/echo.h"
-#include "apps/kv_store.h"
-#include "apps/linefs.h"
-#include "apps/raw_rdma.h"
-#include "apps/thrasher.h"
-#include "apps/vxlan.h"
 #include "audit/invariants.h"
 #include "audit/model_auditor.h"
 #include "baselines/hostcc.h"
@@ -25,16 +19,6 @@ namespace {
 /// realistic pool, and base 1 for tenant 0 keeps id 0 meaning "no buffer".
 BufferId pool_base(std::size_t tenant) {
   return 1 + (static_cast<BufferId>(tenant) << 24);
-}
-
-Application* make_tenant_app(Testbed& bed, const std::string& app) {
-  if (app == "kv") return &bed.make_kv_store();
-  if (app == "echo") return &bed.make_echo();
-  if (app == "vxlan") return &bed.make_vxlan();
-  if (app == "linefs") return &bed.make_linefs();
-  if (app == "rdma") return &bed.make_raw_rdma();
-  if (app == "thrasher") return &bed.make_thrasher();
-  return nullptr;
 }
 
 }  // namespace
@@ -163,7 +147,7 @@ TenantAssembly::TenantAssembly(Testbed& bed, const TenantSetConfig& set,
   // Applications in roster order (the KV store draws from the testbed Rng
   // at construction — creation order is part of bit-reproducibility).
   for (const TenantRosterEntry& e : roster_) {
-    Application* app = make_tenant_app(bed, e.cfg.app);
+    Application* app = bed.make_app(e.cfg.app);
     if (app == nullptr) {
       throw std::invalid_argument("unknown tenant app: " + e.cfg.app);
     }

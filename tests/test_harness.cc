@@ -59,9 +59,13 @@ TEST(FlowConfigFromWorkload, ExplicitMessagePktsWins) {
 }
 
 TEST(Apps, KnownAndBypassClassification) {
-  EXPECT_TRUE(is_known_app("kv"));
-  EXPECT_TRUE(is_known_app("rdma"));
-  EXPECT_FALSE(is_known_app("memcached"));
+  Testbed bed(TestbedConfig{});
+  for (const char* app : {"kv", "echo", "vxlan", "linefs", "rdma", "thrasher"}) {
+    EXPECT_TRUE(Testbed::is_known_app(app)) << app;
+    EXPECT_NE(bed.make_app(app), nullptr) << app;
+  }
+  EXPECT_FALSE(Testbed::is_known_app("memcached"));
+  EXPECT_EQ(bed.make_app("memcached"), nullptr);
   EXPECT_TRUE(is_bypass_app("linefs"));
   EXPECT_FALSE(is_bypass_app("echo"));
 }
@@ -136,7 +140,7 @@ TEST(ScenarioRegistry, PaperScenariosAreRegisteredAndValid) {
     std::vector<std::string> errors;
     EXPECT_TRUE(config::validate(scenario->spec, &errors))
         << scenario->name << ": " << (errors.empty() ? "" : errors.front());
-    EXPECT_TRUE(is_known_app(scenario->spec.workload.app)) << scenario->name;
+    EXPECT_TRUE(Testbed::is_known_app(scenario->spec.workload.app)) << scenario->name;
     EXPECT_FALSE(scenario->description.empty()) << scenario->name;
   }
 }

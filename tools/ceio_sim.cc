@@ -225,7 +225,7 @@ CliOptions parse(int argc, char** argv) {
   }
   std::vector<std::string> errors;
   if (!config::validate(spec, &errors)) fail(errors.front());
-  if (!harness::is_known_app(spec.workload.app)) {
+  if (!Testbed::is_known_app(spec.workload.app)) {
     fail("unknown app '" + spec.workload.app + "'");
   }
   if (!opt.trace_prefix.empty()) {

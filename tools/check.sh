@@ -2,12 +2,10 @@
 # Full pre-merge gate for the CEIO simulator.
 #
 # Stages (each skips gracefully when its tool is absent):
-#   1. repo lint            tools/lint/ceio_lint.py over the tree, plus the
-#                           golden-file lint self-test (tools/lint/fixtures/)
-#  1b. determinism analyzer tools/analyze/ceio_analyze.py over the tree
-#                           (zero unsuppressed findings required), plus its
-#                           seeded-fixture self-test. Uses libclang when
-#                           available, the built-in scanner engine otherwise.
+#   1. static checker       tools/lint/ceio_lint.py over the tree (zero
+#                           unsuppressed findings across the convention and
+#                           determinism rules), plus its golden-file
+#                           self-test (tools/lint/fixtures/)
 #   2. release build + test cmake Release with CEIO_WERROR=ON (the
 #                           -Wall/-Wextra/-Wshadow net is a gate), ctest
 #   3. telemetry identity   same scenarios, hooks compiled out vs compiled
@@ -72,28 +70,15 @@ build_and_test() {  # build_and_test <tree-name> <cmake-args...>
   ctest --test-dir "${tree}" --output-on-failure -j "${JOBS}" | tail -n 3
 }
 
-# -- 1: repo-specific lint ---------------------------------------------------
+# -- 1: static checker -------------------------------------------------------
+# Zero unsuppressed findings over the tree, and every seeded fixture
+# violation detected; only a missing python3 skips the stage.
 note "lint (tools/lint/ceio_lint.py + golden-file self-test)"
 if command -v python3 >/dev/null 2>&1; then
   lint_status=0
   python3 "${REPO_ROOT}/tools/lint/ceio_lint.py" || lint_status=1
   python3 "${REPO_ROOT}/tools/lint/test_ceio_lint.py" || lint_status=1
   stage_result lint "${lint_status}"
-else
-  echo "python3 not found; skipping"
-fi
-
-# -- 1b: determinism & domain-isolation analyzer -----------------------------
-# Zero unsuppressed findings over the tree, and every seeded fixture
-# violation detected. The analyzer prefers a libclang AST walk over the
-# exported compile_commands.json and degrades to its built-in scanner
-# engine when libclang is absent; only a missing python3 skips the stage.
-note "analyze (tools/analyze/ceio_analyze.py + seeded-fixture self-test)"
-if command -v python3 >/dev/null 2>&1; then
-  analyze_status=0
-  python3 "${REPO_ROOT}/tools/analyze/ceio_analyze.py" || analyze_status=1
-  python3 "${REPO_ROOT}/tools/analyze/ceio_analyze.py" --self-test || analyze_status=1
-  stage_result analyze "${analyze_status}"
 else
   echo "python3 not found; skipping"
 fi

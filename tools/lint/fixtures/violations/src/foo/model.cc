@@ -7,12 +7,18 @@ namespace fixture {
 
 void Model::tick() {
   std::cout << "tick\n";   // violation: raw-stdout
-  std::cerr << "debug\n";  // lint: allow-stdout (fixture: deliberate display)
+  std::cerr << "debug\n";  // lint: allow-raw-stdout (fixture: deliberate display)
+  std::fprintf(stderr, "ok\n");  // ok: FILE*-targeted
 }
 
 void arm(Scheduler& sched, long t, long delay) {
   sched.schedule_at(t - delay, nullptr);  // violation: past-schedule
   sched.schedule_at(t + delay, nullptr);  // ok: no subtraction
+  sched.schedule_at(t - delay, nullptr);  // lint: allow-past-schedule (fixture: probes the clamp)
+}
+
+void shout() {
+  std::cout << "loud\n";  // lint: allow-past-schedule (violation: wrong rule)
 }
 
 }  // namespace fixture

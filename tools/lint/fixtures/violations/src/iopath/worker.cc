@@ -9,5 +9,6 @@ void poke(FlowSource& src) {  // violation: cross-shard
 }
 
 void poke_single_domain(FlowSource& src);  // lint: allow-cross-shard
+void poke_feedback(FlowFeedback& feedback);  // ok: the proxied interface
 
 }  // namespace fixture

@@ -10,6 +10,7 @@ class HotLoop {
  public:
   void set_callback(std::function<void()> cb);       // violation
   void set_cold_callback(std::function<void()> cb);  // lint: allow-std-function-hot-path
+  void set_inline_callback(InlineFunction<void()> cb);  // ok: allocation-free
 
  private:
   int depth_ = 0;
