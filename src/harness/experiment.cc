@@ -38,6 +38,33 @@ FlowConfig flow_config(FlowId id, const WorkloadSpec& w) {
   return fc;
 }
 
+MountedApps::MountedApps(Testbed& bed, const ExperimentSpec& spec) {
+  if (spec.tenant.enabled) {
+    assembly_ = std::make_unique<tenant::TenantAssembly>(bed, spec.tenant, spec.controller);
+  } else {
+    app_ = make_app(bed, spec.workload.app);
+    if (app_ == nullptr) throw std::invalid_argument("unknown app '" + spec.workload.app + "'");
+  }
+}
+
+Application& MountedApps::app_of(FlowId id) {
+  return assembly_ ? assembly_->app_of_flow(id) : *app_;
+}
+
+void for_each_flow(const ExperimentSpec& spec,
+                   const std::function<void(const FlowConfig&)>& add) {
+  if (spec.tenant.enabled) {
+    for (const auto& e : tenant::tenant_roster(spec.tenant, spec.testbed.llc.ddio_ways)) {
+      const WorkloadSpec w = tenant_workload(e.cfg);
+      for (FlowId id = e.first_flow; id <= e.last_flow; ++id) add(flow_config(id, w));
+    }
+  } else {
+    for (FlowId id = 1; id <= static_cast<FlowId>(spec.workload.flows); ++id) {
+      add(flow_config(id, spec.workload));
+    }
+  }
+}
+
 WorkloadSpec tenant_workload(const tenant::TenantConfig& cfg) {
   WorkloadSpec w;
   w.app = cfg.app;
@@ -169,43 +196,24 @@ RunResult run_experiment(const ExperimentSpec& spec, const std::string& trace_pr
   if (!config::validate(spec, &errors)) {
     throw std::invalid_argument("invalid experiment spec: " + errors.front());
   }
-  if (spec.tenant.enabled) {
-    const tenant::TenantConfig* roles[] = {&spec.tenant.lc, &spec.tenant.bw,
-                                           &spec.tenant.ant};
-    for (const auto* role : roles) {
-      if (role->enabled && !Testbed::is_known_app(role->app)) {
-        throw std::invalid_argument("unknown tenant app '" + role->app + "'");
-      }
-    }
-  } else if (!Testbed::is_known_app(spec.workload.app)) {
-    throw std::invalid_argument("unknown app '" + spec.workload.app + "'");
-  }
   const bool traced = !trace_prefix.empty();
   if (spec.testbed.sim.domains > 1) {
     if (traced) throw std::invalid_argument("sharded runs (sim.domains > 1) cannot be traced");
-    return run_sharded_experiment(spec);
+    ShardedTestbed bed(spec);
+    bed.run_until(spec.warmup);
+    bed.reset_measurement();
+    bed.run_until(spec.warmup + spec.measure);
+    return bed.collect();
   }
+  // An unknown app throws while mounting, before any trace file exists.
+  Testbed bed(spec.testbed);
+  MountedApps apps(bed, spec);
+  for_each_flow(spec, [&](const FlowConfig& fc) { bed.add_flow(fc, apps.app_of(fc.id)); });
+  tenant::TenantAssembly* assembly = apps.assembly();
   File json, csv;
   if (traced) {
     json = open_for_write(trace_prefix + ".trace.json");
     csv = open_for_write(trace_prefix + ".timeseries.csv");
-  }
-
-  Testbed bed(spec.testbed);
-  std::optional<tenant::TenantAssembly> assembly;
-  if (spec.tenant.enabled) {
-    assembly.emplace(bed, spec.tenant, spec.controller);
-    for (const auto& e : assembly->roster()) {
-      const WorkloadSpec w = tenant_workload(e.cfg);
-      for (FlowId id = e.first_flow; id <= e.last_flow; ++id) {
-        bed.add_flow(flow_config(id, w), assembly->app_of_flow(id));
-      }
-    }
-  } else {
-    Application& app = *make_app(bed, spec.workload.app);
-    for (FlowId id = 1; id <= static_cast<FlowId>(spec.workload.flows); ++id) {
-      bed.add_flow(flow_config(id, spec.workload), app);
-    }
   }
 
   bed.run_for(spec.warmup);

@@ -9,17 +9,20 @@
 // and `workload.flows=16` address one spec.
 //
 // run_experiment() reproduces the canonical run loop every CLI/bench used
-// to hand-roll: build the Testbed, create the tenant assembly or the
-// application, add the flows in id order (`workload.flows` identical flows,
-// or each tenant's block), warm up, reset measurement, optionally switch
-// tracing on, run the measure window, and collect a RunResult. The
-// construction order (app first, then flows in id order) is part of the
-// contract: the KV store populates itself from the Testbed Rng, so
-// reordering would change every downstream random draw and break
+// to hand-roll: build the Testbed (or, with sim.domains > 1, the
+// ShardedTestbed), mount the tenant assembly or the application
+// (MountedApps), add the flows in id order (for_each_flow: `workload.flows`
+// identical flows, or each tenant's block), warm up, reset measurement,
+// optionally switch tracing on, run the measure window, and collect a
+// RunResult. The construction order (apps first, then flows in id order) is
+// part of the contract: the KV store populates itself from the Testbed Rng,
+// so reordering would change every downstream random draw and break
 // bit-reproducibility.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -98,6 +101,29 @@ FlowConfig flow_config(FlowId id, const WorkloadSpec& w);
 /// multi-tenant runs.
 WorkloadSpec tenant_workload(const tenant::TenantConfig& cfg);
 
+/// The applications `spec` mounts on one Testbed ahead of its flows: the full
+/// tenant assembly in tenant mode (its demux maps every flow id), else the
+/// one workload app. Throws std::invalid_argument for an unknown app.
+class MountedApps {
+ public:
+  MountedApps(Testbed& bed, const ExperimentSpec& spec);
+  /// The application serving flow `id`.
+  Application& app_of(FlowId id);
+  /// Non-null in tenant mode.
+  tenant::TenantAssembly* assembly() { return assembly_.get(); }
+  const tenant::TenantAssembly* assembly() const { return assembly_.get(); }
+
+ private:
+  std::unique_ptr<tenant::TenantAssembly> assembly_;
+  Application* app_ = nullptr;
+};
+
+/// Hands every flow of `spec` to `add`, in id order: each tenant's roster
+/// block (tenant_workload shapes) in tenant mode, else `workload.flows`
+/// identical flows. Single-domain and sharded runs both build from this.
+void for_each_flow(const ExperimentSpec& spec,
+                   const std::function<void(const FlowConfig&)>& add);
+
 /// Flow-derived columns of the per-tenant reports: aggregates over each
 /// tenant's flow-id block of `flows` (which must cover all roster flows).
 std::vector<tenant::TenantReport> tenant_flow_reports(
@@ -112,7 +138,8 @@ void settle_and_measure(Testbed& bed, Nanos warmup, Nanos measure);
 RunResult collect_result(Testbed& bed);
 
 /// The canonical single-phase experiment (see file comment for the exact
-/// sequence). The spec must pass config::validate and name a known app.
+/// sequence), single-domain or sharded by sim.domains. The spec must pass
+/// config::validate and name a known app.
 ///
 /// A non-empty `trace_prefix` records the measure window: telemetry is
 /// switched on right after the warmup reset (plus the tenant assembly's

@@ -8,7 +8,6 @@
 
 #include "common/domain_annotations.h"
 #include "common/rng.h"
-#include "host/cpu_core.h"
 #include "iopath/testbed.h"
 #include "net/flow_feedback.h"
 #include "net/flow_source.h"
@@ -64,11 +63,12 @@ CEIO_DOMAIN_MESSAGE(ceio::harness::BurstMsg);
 
 namespace ceio::harness {
 
-// One event domain: a full receiver Testbed, the FlowSources whose receivers
-// live one ring-hop downstream, and this domain's side of every channel. All
-// mutable state here is touched only by the domain's own phases (plus the
-// producer side of outgoing mailboxes) — the coordinator's barriers are the
-// only synchronization.
+// One event domain: a full Testbed, which holds the halves of the flows that
+// live here (receivers, and the senders whose receivers live one ring-hop
+// downstream), plus this domain's side of every channel. All mutable state
+// here is touched only by the domain's own phases (plus the producer side of
+// outgoing mailboxes) — the coordinator's barriers are the only
+// synchronization.
 class DomainSlice final : public ShardDomain {
  public:
   DomainSlice(ShardedTestbed& owner, int id, const ExperimentSpec& spec)
@@ -82,24 +82,19 @@ class DomainSlice final : public ShardDomain {
     TestbedConfig cfg = spec.testbed;
     cfg.seed = derive_seed(spec.testbed.seed, static_cast<std::uint64_t>(id));
     bed_.emplace(std::move(cfg));
-    if (spec.tenant.enabled) {
-      // Every slice mounts the full tenant assembly (pools, per-tenant
-      // datapaths, way partition, domain-local controller) even though only
-      // a subset of each tenant's flows lands here: construction order is
-      // part of the per-domain RNG contract, and the demux needs the whole
-      // flow-id map to route any block member.
-      assembly_.emplace(*bed_, spec.tenant, spec.controller);
-    } else {
-      app_ = make_app(*bed_, spec.workload.app);
-    }
+    // Every slice mounts the full tenant assembly (pools, per-tenant
+    // datapaths, way partition, domain-local controller) even though only a
+    // subset of each tenant's flows lands here: construction order is part
+    // of the per-domain RNG contract, and the demux needs the whole flow-id
+    // map to route any block member.
+    apps_.emplace(*bed_, spec);
     egress_.emplace(bed_->sched(), bed_->packet_pool(),
                     NetworkLink::Deliver([this](const Packet& pkt) { on_egress(pkt); }),
                     spec.testbed.net);
     // Egress drops happen in the sender's own domain: the local (full-delay)
     // loss path applies, exactly as on the single-domain link.
-    egress_->set_drop_handler([this](const Packet& pkt) {
-      owner_.flows_[pkt.flow - 1].source->notify_dropped(pkt);
-    });
+    egress_->set_drop_handler(
+        [this](const Packet& pkt) { bed_->source(pkt.flow)->notify_dropped(pkt); });
     inject_.emplace(
         bed_->sched(),
         [this](Nanos when, WireEntry e) { dispatch(when, std::move(e)); });
@@ -176,33 +171,16 @@ class DomainSlice final : public ShardDomain {
     grant_boxes_[static_cast<std::size_t>(target)] = box;
   }
 
-  // ---- Flow setup ----
+  // ---- Flow setup: the halves themselves live in bed() ----
 
-  /// Receiver half: pinned core + mailbox-backed feedback proxy, registered
-  /// with this domain's datapath.
-  void add_receiver(const FlowConfig& fc) {
-    cores_.push_back(std::make_unique<CpuCore>(bed_->sched(), bed_->memory_controller(),
-                                               bed_->config().cpu));
-    proxies_.push_back(std::make_unique<RemoteFeedback>(*this, fc.id));
-    FlowRuntime rt;
-    rt.config = fc;
-    rt.source = proxies_.back().get();
-    rt.app = assembly_ ? &assembly_->app_of_flow(fc.id) : app_;
-    rt.core = cores_.back().get();
-    bed_->datapath().register_flow(rt);
-  }
-
-  /// Sender half: the FlowSource, emitting onto this domain's egress link.
-  FlowSource* add_source(const FlowConfig& fc) {
-    sources_.push_back(std::make_unique<FlowSource>(bed_->sched(), bed_->rng(), *egress_,
-                                                    fc, bed_->config().dctcp));
-    FlowSource* source = sources_.back().get();
-    if (fc.start_time <= bed_->sched().now()) {
-      source->start();
-    } else {
-      bed_->sched().schedule_at(fc.start_time, [source]() { source->start(); });
-    }
-    return source;
+  MountedApps& apps() { return *apps_; }
+  const MountedApps& apps() const { return *apps_; }
+  /// The link sender halves here emit onto (toward domain id-1).
+  NetworkLink& egress() { return *egress_; }
+  /// A new mailbox proxy standing in for flow `id`'s remote source.
+  FlowFeedback& remote_feedback(FlowId id) {
+    proxies_.push_back(std::make_unique<RemoteFeedback>(*this, id));
+    return *proxies_.back();
   }
 
   // ---- Host-shard credit arbitration ----
@@ -236,10 +214,6 @@ class DomainSlice final : public ShardDomain {
 
   Testbed& bed() { return *bed_; }
   const Testbed& bed() const { return *bed_; }
-  tenant::TenantAssembly* assembly() { return assembly_.get(); }
-  void reset_sources() {
-    for (auto& s : sources_) s->reset_measurement();
-  }
   std::uint64_t spill_events() const {
     std::uint64_t n = in_pkts_.spill_events() + in_fb_.spill_events();
     for (const auto& box : in_credit_) n += box->spill_events();
@@ -345,16 +319,16 @@ class DomainSlice final : public ShardDomain {
         bed_->nic().receive(bed_->packet_pool().make(std::move(e.pkt)));
         break;
       case WireKind::kDelivered:
-        owner_.flows_[e.flow - 1].source->apply_remote_delivered(e.pkt);
+        bed_->source(e.flow)->apply_remote_delivered(e.pkt);
         break;
       case WireKind::kDropped:
-        owner_.flows_[e.flow - 1].source->apply_remote_dropped(e.pkt);
+        bed_->source(e.flow)->apply_remote_dropped(e.pkt);
         break;
       case WireKind::kHostCongestion:
-        owner_.flows_[e.flow - 1].source->apply_remote_host_congestion();
+        bed_->source(e.flow)->apply_remote_host_congestion();
         break;
       case WireKind::kMessageComplete:
-        owner_.flows_[e.flow - 1].source->notify_message_complete(e.message_id, e.done);
+        bed_->source(e.flow)->notify_message_complete(e.message_id, e.done);
         break;
       case WireKind::kCreditReport:
         owner_.on_credit_report(static_cast<int>(e.src), e.value);
@@ -375,8 +349,7 @@ class DomainSlice final : public ShardDomain {
   // DomainLocal wrapper makes that ownership explicit (move-only, so a
   // refactor cannot silently fork or share it across slices).
   DomainLocal<Testbed> bed_;
-  Application* app_ = nullptr;                   // single-tenant mode
-  DomainLocal<tenant::TenantAssembly> assembly_;  // tenant mode
+  DomainLocal<MountedApps> apps_;
   DomainLocal<NetworkLink> egress_;  // toward domain (id-1) mod domains
   DomainLocal<CoalescedStream<WireEntry>> inject_;
 
@@ -401,19 +374,14 @@ class DomainSlice final : public ShardDomain {
   std::vector<WireEntry> scratch_ctrl_;
   std::vector<WireEntry> eligible_;
 
-  // Local halves of the deployment's flows.
-  std::vector<std::unique_ptr<CpuCore>> cores_;
+  // Feedback proxies of the receiver halves on this domain's Testbed.
   std::vector<std::unique_ptr<RemoteFeedback>> proxies_;
-  std::vector<std::unique_ptr<FlowSource>> sources_;
 };
 
 ShardedTestbed::ShardedTestbed(const ExperimentSpec& spec) : spec_(spec) {
   const int P = spec.testbed.sim.domains;
   if (P < 2) {
     throw std::invalid_argument("ShardedTestbed requires sim.domains >= 2");
-  }
-  if (!spec.tenant.enabled && !Testbed::is_known_app(spec.workload.app)) {
-    throw std::invalid_argument("unknown app '" + spec.workload.app + "'");
   }
   slices_.reserve(static_cast<std::size_t>(P));
   for (int d = 0; d < P; ++d) {
@@ -449,35 +417,15 @@ ShardedTestbed::ShardedTestbed(const ExperimentSpec& spec) : spec_(spec) {
     }
   }
 
-  // Flows, in id order (the canonical runner's construction contract).
-  const auto add_flow = [this, P](const FlowConfig& fc) {
-    const int g = static_cast<int>((fc.id - 1) % static_cast<FlowId>(P));
-    const int s = (g + 1) % P;
-    slices_[static_cast<std::size_t>(g)]->add_receiver(fc);
-    FlowEntry fe;
-    fe.source = slices_[static_cast<std::size_t>(s)]->add_source(fc);
-    fe.kind = fc.kind;
-    fe.recv_domain = g;
-    fe.src_domain = s;
-    flows_.push_back(fe);
-  };
-  if (spec.tenant.enabled) {
-    // Same id order and per-flow shapes as the single-domain tenant runner:
-    // tenant_workload + flow_config over each roster block.
-    const auto roster = tenant::tenant_roster(spec.tenant, spec.testbed.llc.ddio_ways);
-    flows_.reserve(static_cast<std::size_t>(roster.back().last_flow));
-    for (const auto& e : roster) {
-      const WorkloadSpec w = tenant_workload(e.cfg);
-      for (FlowId id = e.first_flow; id <= e.last_flow; ++id) {
-        add_flow(flow_config(id, w));
-      }
-    }
-  } else {
-    flows_.reserve(static_cast<std::size_t>(spec.workload.flows));
-    for (FlowId id = 1; id <= static_cast<FlowId>(spec.workload.flows); ++id) {
-      add_flow(flow_config(id, spec.workload));
-    }
-  }
+  // Flows in id order, as the single-domain runner builds them: each flow's
+  // receiver half is registered before its sender half starts.
+  for_each_flow(spec, [this](const FlowConfig& fc) {
+    DomainSlice& recv = *slices_[static_cast<std::size_t>(receiver_domain(fc.id))];
+    recv.bed().add_flow_receiver(fc, recv.apps().app_of(fc.id), recv.remote_feedback(fc.id));
+    DomainSlice& send = *slices_[static_cast<std::size_t>(sender_domain(fc.id))];
+    send.bed().add_flow_sender(fc, send.egress());
+    flow_count_ = fc.id;
+  });
 
   Nanos lookahead = spec.testbed.net.propagation;
   if (ceio) lookahead = std::min(lookahead, spec.testbed.pcie.propagation);
@@ -512,9 +460,14 @@ Testbed& ShardedTestbed::bed(int domain) {
   return slices_[static_cast<std::size_t>(domain)]->bed();
 }
 
-FlowSource* ShardedTestbed::source(FlowId id) {
-  if (id == 0 || id > flows_.size()) return nullptr;
-  return flows_[id - 1].source;
+FlowSource* ShardedTestbed::source(FlowId id) { return bed(sender_domain(id)).source(id); }
+
+int ShardedTestbed::receiver_domain(FlowId id) const {
+  return static_cast<int>((id - 1) % static_cast<FlowId>(domains()));
+}
+
+int ShardedTestbed::sender_domain(FlowId id) const {
+  return (receiver_domain(id) + 1) % domains();
 }
 
 std::uint64_t ShardedTestbed::mailbox_spills() const {
@@ -524,11 +477,7 @@ std::uint64_t ShardedTestbed::mailbox_spills() const {
 }
 
 void ShardedTestbed::reset_measurement() {
-  measure_start_ = now();
-  for (auto& s : slices_) {
-    s->bed().reset_measurement();
-    s->reset_sources();
-  }
+  for (auto& s : slices_) s->bed().reset_measurement();
 }
 
 void ShardedTestbed::on_credit_report(int src, std::int64_t demand) {
@@ -567,35 +516,14 @@ void ShardedTestbed::on_credit_report(int src, std::int64_t demand) {
   }
 }
 
-FlowReport ShardedTestbed::report(FlowId id) const {
-  FlowReport out;
-  if (id == 0 || id > flows_.size()) return out;
-  const FlowEntry& fe = flows_[id - 1];
-  const FlowSource& src = *fe.source;
-  out.id = id;
-  out.kind = fe.kind;
-  const Nanos span = now() - measure_start_;
-  out.mpps = src.delivered_meter().mpps(Nanos{0}, span);
-  out.gbps = src.delivered_meter().gbps(Nanos{0}, span);
-  out.p50 = src.latency().p50();
-  out.p99 = src.latency().p99();
-  out.p999 = src.latency().p999();
-  out.messages = src.stats().messages_completed;
-  out.drops = src.stats().packets_dropped;
-  const auto& fc = src.config();
-  const double message_bytes =
-      static_cast<double>(fc.packet_size.count()) * static_cast<double>(fc.message_pkts);
-  if (span > Nanos{0}) {
-    out.message_gbps =
-        static_cast<double>(out.messages) * message_bytes * 8.0 / to_seconds(span) / 1e9;
-  }
-  return out;
-}
-
 RunResult ShardedTestbed::collect() const {
   RunResult out;
-  out.flows.reserve(flows_.size());
-  for (FlowId id = 1; id <= flows_.size(); ++id) out.flows.push_back(report(id));
+  // Every domain's scheduler stands at the coordinator's now() between
+  // run_until calls, so each sender domain's report spans the same window.
+  out.flows.reserve(flow_count_);
+  for (FlowId id = 1; id <= flow_count_; ++id) {
+    out.flows.push_back(slices_[static_cast<std::size_t>(sender_domain(id))]->bed().report(id));
+  }
   out.aggregate_mpps = harness::aggregate_mpps(out.flows);
   out.aggregate_gbps = harness::aggregate_gbps(out.flows);
   out.aggregate_message_gbps = harness::aggregate_message_gbps(out.flows);
@@ -633,12 +561,12 @@ RunResult ShardedTestbed::collect() const {
     // columns summed over domains in domain order. Way counts are per-slice
     // partition widths (not additive), so the report carries domain 0's —
     // under domain-local controllers the slices may legitimately diverge.
-    auto* first = const_cast<DomainSlice&>(*slices_[0]).assembly();
+    const tenant::TenantAssembly* first = slices_[0]->apps().assembly();
     out.tenants = tenant_flow_reports(first->roster(), out.flows);
     for (std::size_t t = 0; t < out.tenants.size(); ++t) {
       tenant::TenantReport sum;
       for (std::size_t d = 0; d < slices_.size(); ++d) {
-        auto* a = const_cast<DomainSlice&>(*slices_[d]).assembly();
+        const tenant::TenantAssembly* a = slices_[d]->apps().assembly();
         tenant::TenantReport one;
         a->fill_llc_fields(one, t);
         if (d == 0) sum.ddio_ways = one.ddio_ways;
@@ -656,18 +584,10 @@ RunResult ShardedTestbed::collect() const {
       out.tenants[t].ceio_total_credits = sum.ceio_total_credits;
     }
     for (const auto& s : slices_) {
-      out.way_repartitions += const_cast<DomainSlice&>(*s).assembly()->repartitions();
+      out.way_repartitions += s->apps().assembly()->repartitions();
     }
   }
   return out;
-}
-
-RunResult run_sharded_experiment(const ExperimentSpec& spec) {
-  ShardedTestbed bed(spec);
-  bed.run_until(spec.warmup);
-  bed.reset_measurement();
-  bed.run_until(spec.warmup + spec.measure);
-  return bed.collect();
 }
 
 }  // namespace ceio::harness

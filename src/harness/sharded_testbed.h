@@ -5,9 +5,12 @@
 // Partitioning. Each domain d is a complete vertical receiver slice — its own
 // Testbed with LLC/DRAM/IIO, memory controller, PCIe/DMA, NIC, RMT and
 // datapath — modelling one port/NUMA slice of a multi-port deployment. Flow
-// f's receiver stack (RX rings, pinned core, app state) lives in domain
-// g = (f-1) % domains; its sender (FlowSource, DCTCP state) lives in the ring
-// neighbour s = (g+1) % domains, which owns one egress NetworkLink toward g.
+// f's receiver half (RX rings, pinned core, app state) lives in domain
+// g = (f-1) % domains; its sender half (FlowSource, DCTCP state) lives in the
+// ring neighbour s = (g+1) % domains, which owns one egress NetworkLink toward
+// g. Both halves are built by, and recorded in, their domain's Testbed
+// (Testbed::add_flow_receiver / add_flow_sender); a domain adds only its
+// mailbox channels and the feedback proxies that stand in for remote sources.
 // The link's queue, ECN marking and drops stay in the sender's domain; its
 // propagation delay is spent as cross-domain mailbox transit and is exactly
 // the conservative lookahead.
@@ -31,7 +34,8 @@
 // at fixed sim.domains (the same contract the sweep runner gives --jobs, and
 // what the check.sh shards gate enforces). Ingredients: deterministic mailbox
 // merge order by (arrival, source domain, sender seq); per-domain RNG streams
-// via derive_seed(seed, domain); and a phase schedule that depends only on
+// via derive_seed(seed, domain), with each flow's arrival stream keyed on
+// (its sender domain's seed, flow id); and a phase schedule that depends only on
 // the domain count and the lookahead. Changing sim.domains is a *scenario*
 // change (different partitioning, ports and RNG streams) and legitimately
 // changes results.
@@ -74,10 +78,9 @@ class ShardedTestbed {
   Nanos now() const;
 
   /// Same shape as the single-domain runner's result: per-flow reports in id
-  /// order, aggregates in the same summation order, host stats merged over
-  /// domains in domain order.
+  /// order (each from its sender domain's Testbed), aggregates in the same
+  /// summation order, host stats merged over domains in domain order.
   RunResult collect() const;
-  FlowReport report(FlowId id) const;
 
   // ---- Introspection (tests, benches) ----
   int domains() const { return static_cast<int>(slices_.size()); }
@@ -93,13 +96,9 @@ class ShardedTestbed {
  private:
   friend class DomainSlice;
 
-  struct FlowEntry {
-    FlowSource* source = nullptr;
-    FlowKind kind = FlowKind::kCpuInvolved;
-    int recv_domain = 0;
-    int src_domain = 0;
-  };
-
+  /// The domains holding flow `id`'s receiver half and its sender half.
+  int receiver_domain(FlowId id) const;
+  int sender_domain(FlowId id) const;
   /// Host-shard credit arbitration: called by domain 0's events only.
   void on_credit_report(int src, std::int64_t demand);
 
@@ -107,8 +106,7 @@ class ShardedTestbed {
   // shape): SharedImmutable enforces const-only access across slices.
   SharedImmutable<ExperimentSpec> spec_;
   std::vector<std::unique_ptr<DomainSlice>> slices_;
-  std::vector<FlowEntry> flows_;  // index = flow id - 1
-  Nanos measure_start_{0};
+  FlowId flow_count_ = 0;  // flows are ids 1..flow_count_
 
   // Host-shard arbitration state (touched only by domain 0's events).
   std::int64_t global_credits_ = 0;
@@ -118,10 +116,5 @@ class ShardedTestbed {
 
   std::unique_ptr<ShardCoordinator> coordinator_;  // after slices_: dies first
 };
-
-/// The sharded counterpart of run_experiment's canonical loop: build, warm
-/// up, reset, measure, collect. run_experiment dispatches here when
-/// spec.testbed.sim.domains > 1.
-RunResult run_sharded_experiment(const ExperimentSpec& spec);
 
 }  // namespace ceio::harness

@@ -138,8 +138,8 @@ policy::GovernorSample Testbed::sample_governor_gauges() const {
   s.ring_backlog = ring;
   if (ceio_ != nullptr) {
     std::int64_t slow = 0;
-    flows_.for_each([&](FlowId id, const FlowRecord&) {  // id-ordered walk
-      slow += static_cast<std::int64_t>(ceio_->slow_backlog(id));
+    flows_.for_each([&](FlowId id, const FlowRecord& record) {  // id-ordered walk
+      if (record.core) slow += static_cast<std::int64_t>(ceio_->slow_backlog(id));
     });
     s.slow_backlog = slow;
     s.credit_starvations = ceio_->runtime_stats().credit_switches_to_slow;
@@ -248,38 +248,55 @@ void Testbed::install_datapath(std::unique_ptr<IoDatapath> datapath) {
 }
 
 FlowSource& Testbed::add_flow(const FlowConfig& config, Application& app) {
-  auto record = FlowRecord{};
-  record.core = std::make_unique<CpuCore>(sched_, *mc_, config_.cpu);
-  // Per-flow RNG stream keyed on (sim seed, flow id): arrival randomness is
-  // a pure function of the flow's identity, so sharding the flows across
-  // event domains cannot reorder anyone's draws.
-  record.source = std::make_unique<FlowSource>(
-      sched_,
-      Rng(config_.seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(config.id)),
-      *link_, config, config_.dctcp);
-  record.kind = config.kind;
+  FlowSource& source = make_source(config, *link_);
+  add_flow_receiver(config, app, source);
+  return start_source(source);
+}
 
+CpuCore& Testbed::add_flow_receiver(const FlowConfig& config, Application& app,
+                                    FlowFeedback& feedback) {
+  FlowRecord& record = flows_[config.id];
+  record.kind = config.kind;
+  record.core = std::make_unique<CpuCore>(sched_, *mc_, config_.cpu);
   FlowRuntime rt;
   rt.config = config;
-  rt.source = record.source.get();
+  rt.source = &feedback;
   rt.app = &app;
   rt.core = record.core.get();
   datapath_->register_flow(rt);
+  return *rt.core;
+}
 
-  FlowSource* source = record.source.get();
-  flows_[config.id] = std::move(record);
-  if (config.start_time <= sched_.now()) {
-    source->start();
+FlowSource& Testbed::add_flow_sender(const FlowConfig& config, NetworkLink& link) {
+  return start_source(make_source(config, link));
+}
+
+FlowSource& Testbed::make_source(const FlowConfig& config, NetworkLink& link) {
+  FlowRecord& record = flows_[config.id];
+  record.kind = config.kind;
+  // Per-flow RNG stream keyed on (this bed's seed, flow id): a flow's
+  // arrival draws are a function of the seed of the domain that sends it
+  // and of its id alone, never of the flows built before it on that bed.
+  record.source = std::make_unique<FlowSource>(
+      sched_,
+      Rng(config_.seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(config.id)),
+      link, config, config_.dctcp);
+  return *record.source;
+}
+
+FlowSource& Testbed::start_source(FlowSource& source) {
+  if (source.config().start_time <= sched_.now()) {
+    source.start();
   } else {
-    sched_.schedule_at(config.start_time, [source]() { source->start(); });
+    sched_.schedule_at(source.config().start_time, [&source]() { source.start(); });
   }
-  return *source;
+  return source;
 }
 
 void Testbed::remove_flow(FlowId id) {
   FlowRecord* record = flows_.find(id);
   if (record == nullptr) return;
-  record->source->stop();
+  if (record->source) record->source->stop();
   datapath_->unregister_flow(id);
   // Park the record: in-flight events may still call into the core/source.
   retired_flows_.push_back(std::move(*record));
@@ -299,7 +316,9 @@ CpuCore* Testbed::core(FlowId id) {
 std::vector<FlowId> Testbed::flow_ids() const {
   std::vector<FlowId> ids;
   ids.reserve(flows_.size());
-  flows_.for_each([&ids](FlowId id, const FlowRecord&) { ids.push_back(id); });  // id-ordered
+  flows_.for_each([&ids](FlowId id, const FlowRecord& record) {  // id-ordered
+    if (record.core) ids.push_back(id);
+  });
   return ids;
 }
 
@@ -394,13 +413,15 @@ Nanos Testbed::now() const { return sched_.now(); }
 void Testbed::reset_measurement() {
   measure_start_ = sched_.now();
   llc_->reset_stats();
-  flows_.for_each([](FlowId, FlowRecord& record) { record.source->reset_measurement(); });
+  flows_.for_each([](FlowId, FlowRecord& record) {
+    if (record.source) record.source->reset_measurement();
+  });
 }
 
 FlowReport Testbed::report(FlowId id) const {
   FlowReport out;
   const FlowRecord* record = flows_.find(id);
-  if (record == nullptr) return out;
+  if (record == nullptr || !record->source) return out;
   const FlowSource& src = *record->source;
   out.id = id;
   out.kind = record->kind;
@@ -424,7 +445,9 @@ FlowReport Testbed::report(FlowId id) const {
 
 std::vector<FlowReport> Testbed::all_reports() const {
   std::vector<FlowReport> out;
-  for (const FlowId id : flow_ids()) out.push_back(report(id));
+  flows_.for_each([&](FlowId id, const FlowRecord& record) {  // id-ordered
+    if (record.source) out.push_back(report(id));
+  });
   return out;
 }
 

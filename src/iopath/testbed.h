@@ -154,12 +154,23 @@ class Testbed {
   void install_datapath(std::unique_ptr<IoDatapath> datapath);
 
   // ---- Flows ----
-  /// Creates the flow's source and pinned core and registers it with the
-  /// datapath. Emission starts at config.start_time (scheduled).
+  /// Both halves of a flow on this bed (a sharded deployment puts them on two
+  /// domains' beds): registers the receiver, with the source as its feedback,
+  /// then starts the source at config.start_time.
   FlowSource& add_flow(const FlowConfig& config, Application& app);
+  /// Receiver half: the flow's pinned core, registered with the datapath,
+  /// which reports deliveries, drops and completions to `feedback`.
+  CpuCore& add_flow_receiver(const FlowConfig& config, Application& app,
+                             FlowFeedback& feedback);
+  /// Sender half: the flow's FlowSource emitting onto `link`, started at
+  /// config.start_time (scheduled).
+  FlowSource& add_flow_sender(const FlowConfig& config, NetworkLink& link);
   void remove_flow(FlowId id);
+  /// The flow's sender half on this bed, or nullptr.
   FlowSource* source(FlowId id);
+  /// The flow's receiver half (pinned core) on this bed, or nullptr.
   CpuCore* core(FlowId id);
+  /// Ids of the flows whose receiver half lives on this bed, in id order.
   std::vector<FlowId> flow_ids() const;
 
   // ---- Time ----
@@ -195,7 +206,10 @@ class Testbed {
   /// Clears per-flow meters and host-level stats; reports cover the window
   /// from this call to `now()`.
   void reset_measurement();
+  /// Measured at the flow's sender half; an empty report when that half
+  /// does not live on this bed.
   FlowReport report(FlowId id) const;
+  /// Reports of the flows whose sender half lives on this bed, in id order.
   std::vector<FlowReport> all_reports() const;
   /// Aggregate delivered Mpps over flows of `kind` (or all when nullopt).
   double aggregate_mpps(std::optional<FlowKind> kind = std::nullopt) const;
@@ -240,11 +254,14 @@ class Testbed {
   const TestbedConfig& config() const { return config_; }
 
  private:
-  struct FlowRecord {
-    std::unique_ptr<CpuCore> core;
-    std::unique_ptr<FlowSource> source;
+  struct FlowRecord {  // the halves of one flow that live on this bed
+    std::unique_ptr<CpuCore> core;       // receiver half
+    std::unique_ptr<FlowSource> source;  // sender half
     FlowKind kind;
   };
+  /// The sender half, unstarted (add_flow registers the receiver first).
+  FlowSource& make_source(const FlowConfig& config, NetworkLink& link);
+  FlowSource& start_source(FlowSource& source);
 
   TestbedConfig config_;
   Rng rng_;

@@ -4,6 +4,7 @@
 // are bitwise identical for CEIO and ShRing alike.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -283,6 +284,65 @@ TEST(ShardedExperiment, AuditedDomainsSweepOncePerRun) {
     EXPECT_EQ(bed.bed(d).auditor()->sweeps(), before[static_cast<std::size_t>(d)] + 1)
         << "domain " << d;
     EXPECT_TRUE(bed.bed(d).auditor()->violations().empty()) << "domain " << d;
+  }
+}
+
+TEST(ShardedExperiment, PoissonFlowsDrawIndependentArrivals) {
+  // Each sender half draws its Poisson gaps from its own stream, keyed on
+  // (sender domain seed, flow id). Sources sharing one copied domain stream
+  // would all draw the same gaps and send the same count.
+  ExperimentSpec spec = sharded_spec(SystemKind::kCeio, "kv", 4);
+  spec.workload.flows = 64;
+  spec.workload.offered_rate = gbps(1.0);
+  spec.workload.poisson = true;
+  ShardedTestbed bed(spec);
+  bed.run_until(micros(200));
+  for (int s = 0; s < bed.domains(); ++s) {
+    std::vector<std::int64_t> sent;
+    for (FlowId id = 1; id <= 64; ++id) {
+      const int g = static_cast<int>((id - 1) % 4);
+      if ((g + 1) % 4 == s) sent.push_back(bed.source(id)->stats().packets_sent);
+    }
+    ASSERT_EQ(sent.size(), 16u);
+    EXPECT_GT(sent.front(), 0);
+    EXPECT_NE(std::count(sent.begin(), sent.end(), sent.front()), 16)
+        << "every flow sent by domain " << s << " sent " << sent.front() << " packets";
+  }
+}
+
+TEST(ShardedExperiment, DomainTestbedsOwnTheirFlowHalves) {
+  // Flow f's receiver half lives on domain g = (f-1) % P's Testbed and its
+  // sender half on domain (g+1) % P's, so each bed's audit invariants and
+  // governor gauges walk the flows it actually serves.
+  constexpr int P = 4;
+  ExperimentSpec spec = sharded_spec(SystemKind::kCeio, "echo", P);
+  ShardedTestbed bed(spec);
+  std::vector<std::vector<FlowId>> receivers(P);
+  for (FlowId id = 1; id <= static_cast<FlowId>(spec.workload.flows); ++id) {
+    const int g = static_cast<int>((id - 1) % P);
+    const int s = (g + 1) % P;
+    receivers[static_cast<std::size_t>(g)].push_back(id);
+    EXPECT_NE(bed.bed(g).core(id), nullptr) << "flow " << id;
+    EXPECT_EQ(bed.bed(g).source(id), nullptr) << "flow " << id;
+    ASSERT_NE(bed.source(id), nullptr) << "flow " << id;
+    EXPECT_EQ(bed.bed(s).source(id), bed.source(id)) << "flow " << id;
+    EXPECT_EQ(bed.bed(s).core(id), nullptr) << "flow " << id;
+  }
+  // flow_ids() is what ceio/sw-ring-coherent and the governor's slow_backlog
+  // gauge walk: it must cover the domain's receivers.
+  for (int g = 0; g < P; ++g) {
+    EXPECT_EQ(bed.bed(g).flow_ids(), receivers[static_cast<std::size_t>(g)]) << "domain " << g;
+  }
+  // Reports come from the sender domain's Testbed.
+  bed.run_until(spec.warmup);
+  bed.reset_measurement();
+  bed.run_until(spec.warmup + spec.measure);
+  const RunResult r = bed.collect();
+  ASSERT_EQ(r.flows.size(), static_cast<std::size_t>(spec.workload.flows));
+  for (const FlowReport& f : r.flows) {
+    const int s = static_cast<int>((f.id - 1) % P + 1) % P;
+    EXPECT_GT(f.mpps, 0.0) << "flow " << f.id;
+    EXPECT_EQ(f.messages, bed.bed(s).report(f.id).messages) << "flow " << f.id;
   }
 }
 
